@@ -31,14 +31,11 @@ from .ot_core import Cloud
 from .sim import (
     EXPERIMENTS,
     ExperimentConfig,
-    _exotic_specs,
-    _outlier_specs,
-    _sample_planted,
     run_consistency,
     run_kernel_comparison,
     run_location_equivalence,
     run_outlier_experiment,
-    sample_two_stage,
+    sample_experiment,
 )
 
 _METHOD_FLAGS = {
@@ -216,6 +213,9 @@ def _cmd_depth(args) -> int:
             bandwidth=args.bandwidth,
             threads=args.threads,
         )
+    except InvalidParameter as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except WsdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
@@ -372,16 +372,7 @@ def _cmd_sample(args) -> int:
             d=args.d,
             seed=args.seed,
         )
-        data = sample_two_stage(config, rep=args.rep)
-        clouds = list(data.clouds)
-        if config.experiment == "outliers":
-            clouds += _sample_planted(
-                _outlier_specs(config.case, config.resolved_d), config, args.rep
-            )
-        elif config.experiment == "kernel_comparison":
-            clouds += _sample_planted(
-                _exotic_specs(config.case, config.resolved_d), config, args.rep
-            )
+        clouds = sample_experiment(config, args.rep)
     except WsdError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -429,7 +420,6 @@ def _build_parser() -> _Parser:
     depth.add_argument("--method", default="wsd")
     depth.add_argument("--threshold", type=float, default=0.05)
     depth.add_argument("--bandwidth", type=float, default=1.0)
-    depth.add_argument("--seed", type=int, default=0, help="reserved; output is deterministic")
     depth.add_argument("--threads", type=int, default=1)
     depth.add_argument("--out", required=True)
 

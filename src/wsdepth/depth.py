@@ -6,6 +6,10 @@ population, each field being the barycentric transport displacement divided
 by the corresponding transport distance.  Competitor depths (lens, metric
 spatial, kernel-embedding spatial) share the same report format.
 
+Every depth is one pairwise object (transport plans, a distance matrix or an
+embedding Gram matrix) followed by one reduction per query, and the
+leave-one-out reports reuse the same reductions as the single-query calls.
+
 Determinism contract: population terms are accumulated in ascending index
 order with Neumaier compensation, and scalar reductions use ``math.fsum``,
 so results do not depend on how many threads solved the transport plans.
@@ -31,8 +35,11 @@ from .ot_core import (
     Cloud,
     PairwiseTransport,
     barycentric_map,
+    check_threads,
+    cost_matrix,
     plan_cost,
     solve_ot,
+    w2_matrix,
 )
 
 __all__ = [
@@ -71,6 +78,20 @@ class DepthReport:
     threshold_quantile: float
 
 
+def check_threshold(threshold_quantile: float) -> None:
+    """Raises ``InvalidParameter`` unless the quantile lies in [0, 1]."""
+    if not 0.0 <= threshold_quantile <= 1.0:
+        raise InvalidParameter(
+            f"threshold quantile must lie in [0, 1], got {threshold_quantile}"
+        )
+
+
+def check_bandwidth(bandwidth: float) -> None:
+    """Raises ``NonpositiveBandwidth`` unless the kernel bandwidth is > 0."""
+    if not bandwidth > 0:
+        raise NonpositiveBandwidth(f"bandwidth must be > 0, got {bandwidth}")
+
+
 def make_report(
     values: np.ndarray,
     method: str,
@@ -79,10 +100,7 @@ def make_report(
 ) -> DepthReport:
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
-    if not 0.0 <= threshold_quantile <= 1.0:
-        raise InvalidParameter(
-            f"threshold quantile must lie in [0, 1], got {threshold_quantile}"
-        )
+    check_threshold(threshold_quantile)
     order = np.argsort(values, kind="stable")
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(1, n + 1)
@@ -99,6 +117,19 @@ def make_report(
         outlier_flags=flags,
         threshold_quantile=threshold_quantile,
     )
+
+
+def _collection(data, threshold_quantile: float) -> list[Cloud]:
+    """The clouds of a collection to rank leave-one-out, parameters checked."""
+    check_threshold(threshold_quantile)
+    clouds = list(getattr(data, "clouds", data))
+    if len(clouds) < 2:
+        raise EmptyPopulation(f"need at least 2 clouds, got {len(clouds)}")
+    return clouds
+
+
+def _others(n: int, qi: Optional[int]) -> list[int]:
+    return [i for i in range(n) if i != qi]
 
 
 # ---------------------------------------------------------------------------
@@ -146,23 +177,6 @@ def _radicand(q: Cloud, terms, n_div: int) -> float:
     return max(value, 0.0)
 
 
-def _depth_from_radicand(radicand: float) -> float:
-    return min(1.0, max(0.0, 1.0 - math.sqrt(radicand)))
-
-
-def _direct_pair(q: Cloud, p: Cloud) -> tuple[float, np.ndarray]:
-    plan = solve_ot(q, p)
-    dist = math.sqrt(plan_cost(plan, q, p))
-    return dist, barycentric_map(plan, q, p).images
-
-
-def _collect_pairs(q: Cloud, population: list[Cloud], indices, threads: int):
-    if threads > 1 and len(indices) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda i: _direct_pair(q, population[i]), indices))
-    return [_direct_pair(q, population[i]) for i in indices]
-
-
 def _check_population(q: Cloud, population: list[Cloud]) -> None:
     for k, p in enumerate(population):
         if p.d != q.d:
@@ -174,6 +188,66 @@ def _check_population(q: Cloud, population: list[Cloud]) -> None:
 # ---------------------------------------------------------------------------
 # Wasserstein spatial depth
 # ---------------------------------------------------------------------------
+
+
+def _wsd(q: Cloud, terms, count: int, single_member_rule: bool) -> float:
+    """Spatial depth of ``q`` from ``count`` lazy ``(w2, images)`` terms.
+
+    Under the single-member rule a lone member gives exactly ``0.0`` (or
+    ``1.0`` at distance zero), the value of one unit field under a map;
+    without it a lone split plan keeps its contracted field.
+    """
+    if single_member_rule and count == 1:
+        dist, _ = next(iter(terms))
+        return 1.0 if dist == 0.0 else 0.0
+    radicand = _radicand(q, terms, count)
+    return min(1.0, max(0.0, 1.0 - math.sqrt(radicand)))
+
+
+def _direct_terms(q: Cloud, population: list[Cloud], indices, threads: int):
+    """``(w2, images)`` of ``q`` against each indexed member, solved q -> member."""
+
+    def term(i: int) -> tuple[float, np.ndarray]:
+        p = population[i]
+        plan = solve_ot(q, p)
+        return math.sqrt(plan_cost(plan, q, p)), barycentric_map(plan, q, p).images
+
+    threads = check_threads(threads)
+    if threads > 1 and len(indices) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(term, indices))
+    return [term(i) for i in indices]
+
+
+def _wsd_direct(
+    q: Cloud,
+    population: Sequence[Cloud],
+    exclude: Optional[int],
+    threads: int,
+    single_member_rule: bool,
+) -> float:
+    pop = list(population)
+    if not pop:
+        raise EmptyPopulation("population is empty")
+    indices = _others(len(pop), exclude)
+    if not indices:
+        raise EmptyPopulation("population is empty after exclusion")
+    _check_population(q, pop)
+    terms = _direct_terms(q, pop, indices, threads)
+    return _wsd(q, terms, len(indices), single_member_rule)
+
+
+def _wsd_loo(clouds: list[Cloud], threads: int, single_member_rule: bool) -> np.ndarray:
+    """Depth of every cloud against the rest, each pair solved once."""
+    cache = PairwiseTransport(clouds, threads=threads)
+    cache.precompute()
+    n = len(clouds)
+    values = np.empty(n)
+    for qi in range(n):
+        rest = _others(n, qi)
+        terms = ((cache.w2(qi, i), cache.images(qi, i)) for i in rest)
+        values[qi] = _wsd(cache.cloud(qi), terms, len(rest), single_member_rule)
+    return values
 
 
 def wsd_empirical(
@@ -204,28 +278,9 @@ def wsd_empirical(
     Raises:
         EmptyPopulation: no members remain after exclusion.
         DimensionMismatch: a member lives in a different dimension.
+        InvalidParameter: ``threads < 1``.
     """
-    pop = list(population)
-    if not pop:
-        raise EmptyPopulation("population is empty")
-    indices = [i for i in range(len(pop)) if i != exclude]
-    if not indices:
-        raise EmptyPopulation("population is empty after exclusion")
-    _check_population(q, pop)
-    if len(indices) == 1:
-        dist, _ = _direct_pair(q, pop[indices[0]])
-        return 1.0 if dist == 0.0 else 0.0
-    pairs = _collect_pairs(q, pop, indices, threads)
-    return _depth_from_radicand(_radicand(q, pairs, len(indices)))
-
-
-def _wsd_from_cache(cache: PairwiseTransport, qi: int, indices: list[int]) -> float:
-    if len(indices) == 1:
-        return 1.0 if cache.w2(qi, indices[0]) == 0.0 else 0.0
-    terms = ((cache.w2(qi, i), cache.images(qi, i)) for i in indices)
-    return _depth_from_radicand(
-        _radicand(cache.cloud(qi), terms, len(indices))
-    )
+    return _wsd_direct(q, population, exclude, threads, single_member_rule=True)
 
 
 def wsd_all(
@@ -242,18 +297,11 @@ def wsd_all(
 
     Raises:
         EmptyPopulation: fewer than two clouds.
+        InvalidParameter: a threshold outside [0, 1] or ``threads < 1``,
+            before any plan is solved.
     """
-    clouds = list(getattr(data, "clouds", data))
-    n = len(clouds)
-    if n < 2:
-        raise EmptyPopulation(f"need at least 2 clouds, got {n}")
-    cache = PairwiseTransport(clouds, threads=threads)
-    cache.precompute()
-    values = np.empty(n)
-    for qi in range(n):
-        values[qi] = _wsd_from_cache(
-            cache, qi, [i for i in range(n) if i != qi]
-        )
+    clouds = _collection(data, threshold_quantile)
+    values = _wsd_loo(clouds, threads, single_member_rule=True)
     return make_report(values, "wsd", threshold_quantile, excluded_self=True)
 
 
@@ -277,19 +325,7 @@ def wsd_discrete(
     Raises:
         EmptyPopulation: the population is empty.
     """
-    pop = list(population)
-    if not pop:
-        raise EmptyPopulation("population is empty")
-    _check_population(q, pop)
-    pairs = _collect_pairs(q, pop, list(range(len(pop))), threads)
-    return _depth_from_radicand(_radicand(q, pairs, len(pop)))
-
-
-def _wsd_discrete_from_cache(cache: PairwiseTransport, qi: int, indices) -> float:
-    terms = ((cache.w2(qi, i), cache.images(qi, i)) for i in indices)
-    return _depth_from_radicand(
-        _radicand(cache.cloud(qi), terms, len(indices))
-    )
+    return _wsd_direct(q, population, None, threads, single_member_rule=False)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +333,44 @@ def _wsd_discrete_from_cache(cache: PairwiseTransport, qi: int, indices) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _query_setup(q, population, cache):
-    """Resolve a query given as index or cloud; return (others, dist_fn)."""
+def _member_pairs(dist: np.ndarray, qi: int, members: list[int], name: str):
+    """``(d_i, d_j, d_ij)`` for every unordered pair of members ``i < j``,
+    with ``d_i`` the distance from the query ``qi`` to member ``i``."""
+    if len(members) < 2:
+        raise TooFewDistributions(
+            f"{name} needs >= 2 population members, got {len(members)}"
+        )
+    m = np.asarray(members)
+    a, b = np.triu_indices(len(m), 1)
+    return dist[qi, m[a]], dist[qi, m[b]], dist[m[a], m[b]]
+
+
+def _lens_from_matrix(dist: np.ndarray, qi: int, members: list[int]) -> float:
+    di, dj, dij = _member_pairs(dist, qi, members, "lens depth")
+    hits = int(np.count_nonzero(dij >= np.maximum(di, dj)))
+    return hits / dij.shape[0]
+
+
+def _metric_spatial_from_matrix(
+    dist: np.ndarray, qi: int, members: list[int]
+) -> float:
+    di, dj, dij = _member_pairs(dist, qi, members, "metric spatial depth")
+    keep = (di != 0.0) & (dj != 0.0)
+    di, dj, dij = di[keep], dj[keep], dij[keep]
+    # each unordered pair stands for two equal ordered terms
+    summands = 2.0 * (di * di + dj * dj - dij * dij) / (di * dj)
+    k = len(members)
+    mean = math.fsum(summands.tolist()) / (k * (k - 1))
+    return min(2.0, max(0.0, 1.0 - 0.5 * mean))
+
+
+def _query_reduction(q, population, reduce) -> float:
+    """Apply a distance-matrix reduction to one query given as index or cloud.
+
+    The matrix spans the query and the remaining members, with the query
+    first, so each pair is solved query -> member and member -> member in
+    ascending index order.
+    """
     pop = list(population)
     n = len(pop)
     if isinstance(q, (int, np.integer)):
@@ -309,33 +381,12 @@ def _query_setup(q, population, cache):
     else:
         q_cloud = q
         q_idx = next((i for i, p in enumerate(pop) if p is q_cloud), None)
-    others = [i for i in range(n) if i != q_idx]
-    if cache is not None and len(cache) != n:
-        raise DimensionMismatch(
-            f"cache built over {len(cache)} clouds, population has {n}"
-        )
-
-    def dist_to(i: int) -> float:
-        if q_idx is not None and cache is not None:
-            return cache.w2(q_idx, i)
-        plan = solve_ot(q_cloud, pop[i])
-        return math.sqrt(plan_cost(plan, q_cloud, pop[i]))
-
-    def dist_between(i: int, j: int) -> float:
-        if cache is not None:
-            return cache.w2(i, j)
-        plan = solve_ot(pop[i], pop[j])
-        return math.sqrt(plan_cost(plan, pop[i], pop[j]))
-
-    return pop, others, dist_to, dist_between
+    others = _others(n, q_idx)
+    dist = w2_matrix([q_cloud] + [pop[i] for i in others])
+    return reduce(dist, 0, list(range(1, len(others) + 1)))
 
 
-def lens_depth(
-    q: Union[Cloud, int],
-    population: Sequence[Cloud],
-    *,
-    cache: Optional[PairwiseTransport] = None,
-) -> float:
+def lens_depth(q: Union[Cloud, int], population: Sequence[Cloud]) -> float:
     """Fraction of population pairs whose mutual distance dominates both
     distances to the query (ties count).
 
@@ -345,29 +396,10 @@ def lens_depth(
     Raises:
         TooFewDistributions: fewer than two members remain.
     """
-    pop, others, dist_to, dist_between = _query_setup(q, population, cache)
-    if len(others) < 2:
-        raise TooFewDistributions(
-            f"lens depth needs >= 2 population members, got {len(others)}"
-        )
-    dq = {i: dist_to(i) for i in others}
-    hits = 0
-    total = 0
-    for a in range(len(others)):
-        for b in range(a + 1, len(others)):
-            i, j = others[a], others[b]
-            total += 1
-            if dist_between(i, j) >= max(dq[i], dq[j]):
-                hits += 1
-    return hits / total
+    return _query_reduction(q, population, _lens_from_matrix)
 
 
-def metric_spatial_depth(
-    q: Union[Cloud, int],
-    population: Sequence[Cloud],
-    *,
-    cache: Optional[PairwiseTransport] = None,
-) -> float:
+def metric_spatial_depth(q: Union[Cloud, int], population: Sequence[Cloud]) -> float:
     """Metric spatial depth from squared-distance cosines, valued in [0, 2].
 
     Averages ``(d_i^2 + d_j^2 - d_ij^2) / (d_i d_j)`` over ordered pairs of
@@ -377,28 +409,7 @@ def metric_spatial_depth(
     Raises:
         TooFewDistributions: fewer than two members remain.
     """
-    pop, others, dist_to, dist_between = _query_setup(q, population, cache)
-    k = len(others)
-    if k < 2:
-        raise TooFewDistributions(
-            f"metric spatial depth needs >= 2 population members, got {k}"
-        )
-    dq = {i: dist_to(i) for i in others}
-    summands: list[float] = []
-    for a in range(k):
-        for b in range(a + 1, k):
-            i, j = others[a], others[b]
-            if dq[i] == 0.0 or dq[j] == 0.0:
-                continue
-            dij = dist_between(i, j)
-            # each unordered pair stands for two equal ordered terms
-            summands.append(
-                2.0
-                * (dq[i] * dq[i] + dq[j] * dq[j] - dij * dij)
-                / (dq[i] * dq[j])
-            )
-    mean = math.fsum(summands) / (k * (k - 1))
-    return min(2.0, max(0.0, 1.0 - 0.5 * mean))
+    return _query_reduction(q, population, _metric_spatial_from_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +425,7 @@ def _embedding_gram(clouds: Sequence[Cloud], bandwidth: float) -> np.ndarray:
     for i in range(n):
         for j in range(i, n):
             a, b = clouds[i], clouds[j]
-            sq = np.zeros((a.m, b.m))
-            for k in range(a.d):
-                diff = a.points[:, k, None] - b.points[None, :, k]
-                sq += diff * diff
-            block = np.exp(scale * sq)
+            block = np.exp(scale * cost_matrix(a.points, b.points))
             gram[i, j] = gram[j, i] = float(a.weights @ block @ b.weights)
     return gram
 
@@ -446,6 +453,16 @@ def _kernel_depth_from_gram(gram: np.ndarray, qi: int, members) -> float:
     return min(1.0, max(0.0, 1.0 - math.sqrt(radicand)))
 
 
+def _kernel_loo(clouds: list[Cloud], bandwidth: float, queries) -> list[float]:
+    """Kernel spatial depth of each query index against every other cloud."""
+    check_bandwidth(bandwidth)
+    _check_population(clouds[-1], clouds)
+    gram = _embedding_gram(clouds, bandwidth)
+    return [
+        _kernel_depth_from_gram(gram, qi, _others(len(clouds), qi)) for qi in queries
+    ]
+
+
 def kernel_spatial_depth(
     q: Cloud,
     population: Sequence[Cloud],
@@ -461,14 +478,10 @@ def kernel_spatial_depth(
         NonpositiveBandwidth: ``bandwidth <= 0``.
         EmptyPopulation: the population is empty.
     """
-    if not bandwidth > 0:
-        raise NonpositiveBandwidth(f"bandwidth must be > 0, got {bandwidth}")
     pop = list(population)
     if not pop:
         raise EmptyPopulation("population is empty")
-    _check_population(q, pop)
-    gram = _embedding_gram(pop + [q], bandwidth)
-    return _kernel_depth_from_gram(gram, len(pop), range(len(pop)))
+    return _kernel_loo(pop + [q], bandwidth, [len(pop)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -484,37 +497,27 @@ def compute_depths(
     bandwidth: float = 1.0,
     threads: int = 1,
 ) -> DepthReport:
-    """Leave-one-out depth report for a collection, under any method tag."""
+    """Leave-one-out depth report for a collection, under any method tag.
+
+    Raises:
+        InvalidParameter: an unknown method, a threshold outside [0, 1],
+            ``threads < 1`` or (kernel method) ``bandwidth <= 0``, all
+            before any transport plan is solved.
+        EmptyPopulation: fewer than two clouds.
+    """
     if method not in DEPTH_METHODS:
         raise InvalidParameter(f"unknown depth method {method!r}")
-    clouds = list(getattr(clouds, "clouds", clouds))
-    n = len(clouds)
-    if n < 2:
-        raise EmptyPopulation(f"need at least 2 clouds, got {n}")
+    check_threads(threads)
     if method == "wsd":
-        report = wsd_all(clouds, threshold_quantile, threads=threads)
-        return report
-    if method == "kernel_spatial":
-        gram = _embedding_gram(clouds, bandwidth)
-        values = np.array(
-            [
-                _kernel_depth_from_gram(
-                    gram, qi, [i for i in range(n) if i != qi]
-                )
-                for qi in range(n)
-            ]
-        )
-        return make_report(values, method, threshold_quantile, excluded_self=True)
-
-    cache = PairwiseTransport(clouds, threads=threads)
-    cache.precompute()
-    values = np.empty(n)
-    for qi in range(n):
-        rest = [i for i in range(n) if i != qi]
-        if method == "wsd_discrete":
-            values[qi] = _wsd_discrete_from_cache(cache, qi, rest)
-        elif method == "lens":
-            values[qi] = lens_depth(qi, clouds, cache=cache)
-        else:
-            values[qi] = metric_spatial_depth(qi, clouds, cache=cache)
+        return wsd_all(clouds, threshold_quantile, threads=threads)
+    clouds = _collection(clouds, threshold_quantile)
+    n = len(clouds)
+    if method == "wsd_discrete":
+        values = _wsd_loo(clouds, threads, single_member_rule=False)
+    elif method == "kernel_spatial":
+        values = _kernel_loo(clouds, bandwidth, range(n))
+    else:
+        reduce = _lens_from_matrix if method == "lens" else _metric_spatial_from_matrix
+        dist = w2_matrix(clouds, threads=threads)
+        values = [reduce(dist, qi, _others(n, qi)) for qi in range(n)]
     return make_report(values, method, threshold_quantile, excluded_self=True)

@@ -42,12 +42,12 @@ class TooFewDistributions(WsdError):
     """The operation needs at least two population members."""
 
 
-class NonpositiveBandwidth(WsdError):
-    """Kernel bandwidth must be strictly positive."""
-
-
 class InvalidParameter(WsdError):
     """A configuration or distribution parameter is out of its domain."""
+
+
+class NonpositiveBandwidth(InvalidParameter):
+    """Kernel bandwidth must be strictly positive."""
 
 
 class NumericalError(WsdError):

@@ -34,6 +34,7 @@ from .errors import (
     InvalidParameter,
     MarginalMismatch,
     NumericalError,
+    WsdError,
 )
 
 __all__ = [
@@ -46,6 +47,8 @@ __all__ = [
     "barycentric_map",
     "w2_matrix",
     "PairwiseTransport",
+    "cost_matrix",
+    "check_threads",
 ]
 
 # Construction and feasibility tolerances.
@@ -206,14 +209,6 @@ class Coupling:
             permutation=_freeze(sigma.copy()),
         )
 
-    @property
-    def entries(self) -> list:
-        """Plan entries as ``(source index, target index, mass)`` tuples."""
-        return [
-            (int(r), int(c), float(v))
-            for r, c, v in zip(self.rows, self.cols, self.mass)
-        ]
-
     def row_sums(self) -> np.ndarray:
         out = np.zeros(self.source_size)
         np.add.at(out, self.rows, self.mass)
@@ -222,11 +217,6 @@ class Coupling:
     def col_sums(self) -> np.ndarray:
         out = np.zeros(self.target_size)
         np.add.at(out, self.cols, self.mass)
-        return out
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.source_size, self.target_size))
-        out[self.rows, self.cols] = self.mass
         return out
 
     def transpose(self) -> "Coupling":
@@ -260,7 +250,8 @@ class TransportMap:
 # ---------------------------------------------------------------------------
 
 
-def _cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``x`` and of ``y``."""
     # Accumulate sum_k (x_k - y_k)^2 per coordinate: no cancellation-prone
     # expansion and no BLAS reduction, so results are run-to-run stable.
     out = np.zeros((x.shape[0], y.shape[0]))
@@ -382,7 +373,7 @@ def _centered(points: np.ndarray) -> np.ndarray:
 
 
 def _solve_assignment(a: Cloud, b: Cloud) -> Coupling:
-    cost = _cost_matrix(_centered(a.points), _centered(b.points))
+    cost = cost_matrix(_centered(a.points), _centered(b.points))
     _, sigma = linear_sum_assignment(cost)
     sigma = sigma.astype(np.int64)
     if a.has_duplicate_points or b.has_duplicate_points:
@@ -400,7 +391,7 @@ def _solve_replicated_assignment(a: Cloud, b: Cloud) -> Coupling:
     """
     k = a.m // b.m
     cost = np.repeat(
-        _cost_matrix(_centered(a.points), _centered(b.points)), k, axis=1
+        cost_matrix(_centered(a.points), _centered(b.points)), k, axis=1
     )
     _, sigma = linear_sum_assignment(cost)
     cols = (sigma // k).astype(np.int64)
@@ -410,7 +401,7 @@ def _solve_replicated_assignment(a: Cloud, b: Cloud) -> Coupling:
 
 
 def _solve_lp(a: Cloud, b: Cloud) -> Coupling:
-    cost = _cost_matrix(a.points, b.points)
+    cost = cost_matrix(a.points, b.points)
     ma, mb = a.m, b.m
     var = np.arange(ma * mb)
     row_con = scipy.sparse.csr_matrix(
@@ -509,6 +500,17 @@ def barycentric_map(plan: Coupling, a: Cloud, b: Cloud) -> TransportMap:
     return TransportMap(images=_freeze(images), source=a)
 
 
+def check_threads(threads: int) -> int:
+    """Worker-thread count, validated once for every parallel path.
+
+    Raises:
+        InvalidParameter: ``threads < 1``.
+    """
+    if threads < 1:
+        raise InvalidParameter(f"threads must be >= 1, got {threads}")
+    return int(threads)
+
+
 def w2_matrix(clouds: Sequence[Cloud], *, threads: int = 1) -> np.ndarray:
     """Symmetric matrix of pairwise ``w2`` values, each pair solved once.
 
@@ -531,7 +533,7 @@ class PairwiseTransport:
 
     def __init__(self, clouds: Sequence[Cloud], *, threads: int = 1) -> None:
         self._clouds = list(clouds)
-        self._threads = max(1, int(threads))
+        self._threads = check_threads(threads)
         d0 = self._clouds[0].d if self._clouds else 0
         for k, c in enumerate(self._clouds):
             if c.d != d0:
@@ -554,8 +556,10 @@ class PairwiseTransport:
             try:
                 plan = solve_ot(self._clouds[lo], self._clouds[hi])
                 cost = plan_cost(plan, self._clouds[lo], self._clouds[hi])
-            except Exception as exc:
+            except WsdError as exc:
                 raise type(exc)(f"clouds ({lo}, {hi}): {exc}") from exc
+            except Exception as exc:  # foreign, e.g. SciPy on overflowed costs
+                raise NumericalError(f"clouds ({lo}, {hi}): {exc}") from exc
             hit = (plan, cost)
             self._store[key] = hit
         return hit

@@ -1,8 +1,8 @@
 """Seeded samplers and experiment harnesses.
 
-Sampling follows a two-stage scheme: a population object draws a
-distribution specification per cloud, then the specification draws the
-cloud's points.  Every cloud gets its own counter-based substream keyed by
+Sampling follows a two-stage scheme: the population of an experiment case
+(one entry of the ``_CASES`` registry) draws a distribution specification
+per cloud, then the specification draws the cloud's points.  Every cloud gets its own counter-based substream keyed by
 ``(seed, repetition, namespace, index)``, so regeneration is bit-exact and
 independent of evaluation order or parallelism.
 """
@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -19,19 +20,21 @@ from scipy.stats import spearmanr
 from . import analytic
 from .depth import (
     DepthReport,
-    _embedding_gram,
-    _kernel_depth_from_gram,
+    check_bandwidth,
+    check_threshold,
+    compute_depths,
     wsd_all,
     wsd_empirical,
 )
 from .errors import EmptyPopulation, InvalidParameter
-from .ot_core import Cloud
+from .ot_core import Cloud, check_threads
 
 __all__ = [
     "DataArray",
     "ExperimentConfig",
     "substream",
     "sample_two_stage",
+    "sample_experiment",
     "run_consistency",
     "query_cloud",
     "run_location_equivalence",
@@ -44,8 +47,6 @@ __all__ = [
     "KernelComparisonResult",
     "EXPERIMENTS",
 ]
-
-EXPERIMENTS = ("consistency", "location_equivalence", "outliers", "kernel_comparison")
 
 # Substream namespaces.
 _NS_POPULATION = 0
@@ -63,189 +64,58 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# univariate factors
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Factor:
-    """A univariate sampler used as an i.i.d. coordinate factor."""
-
-    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class ExpFactor(_Factor):
-    rate: float
-
-    def draw(self, rng, size):
-        return rng.exponential(1.0 / self.rate, size)
-
-
-@dataclass(frozen=True)
-class WeibullFactor(_Factor):
-    shape: float
-
-    def draw(self, rng, size):
-        return rng.weibull(self.shape, size)
-
-
-@dataclass(frozen=True)
-class GammaFactor(_Factor):
-    shape: float
-    rate: float
-
-    def draw(self, rng, size):
-        return rng.gamma(self.shape, 1.0 / self.rate, size)
-
-
-@dataclass(frozen=True)
-class BetaFactor(_Factor):
-    a: float
-    b: float
-
-    def draw(self, rng, size):
-        return rng.beta(self.a, self.b, size)
-
-
-@dataclass(frozen=True)
-class PoissonFactor(_Factor):
-    lam: float
-
-    def draw(self, rng, size):
-        return rng.poisson(self.lam, size).astype(np.float64)
-
-
-@dataclass(frozen=True)
-class BinomialFactor(_Factor):
-    trials: int
-    p: float
-
-    def draw(self, rng, size):
-        return rng.binomial(self.trials, self.p, size).astype(np.float64)
-
-
-@dataclass(frozen=True)
-class ChiSquareFactor(_Factor):
-    df: float
-
-    def draw(self, rng, size):
-        return rng.chisquare(self.df, size)
-
-
-@dataclass(frozen=True)
-class UniformFactor(_Factor):
-    low: float
-    high: float
-
-    def draw(self, rng, size):
-        return rng.uniform(self.low, self.high, size)
-
-
-@dataclass(frozen=True)
-class ChoiceFactor(_Factor):
-    values: tuple
-
-    def draw(self, rng, size):
-        return rng.choice(np.asarray(self.values, dtype=np.float64), size=size)
-
-
-@dataclass(frozen=True)
-class LaplaceFactor(_Factor):
-    loc: float
-    scale: float = 1.0
-
-    def draw(self, rng, size):
-        return rng.laplace(self.loc, self.scale, size)
-
-
-@dataclass(frozen=True)
-class SignFlipFactor(_Factor):
-    """Base factor multiplied by an independent random sign (and a constant)."""
-
-    inner: _Factor
-    multiplier: float = 1.0
-
-    def draw(self, rng, size):
-        values = self.inner.draw(rng, size)
-        signs = rng.choice(np.array([-1.0, 1.0]), size=size)
-        return values * signs * self.multiplier
-
-
-# ---------------------------------------------------------------------------
 # cloud specifications
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CloudSpec:
-    """A fully parameterized distribution that can sample a cloud."""
+    """A fully parameterized distribution: ``draw(rng, m)`` samples ``m`` points."""
 
     tag: str
+    draw: Callable[[np.random.Generator, int], np.ndarray]
     param: object = None
 
-    @property
-    def dim(self) -> int:
-        raise NotImplementedError
 
-    def sample(self, rng: np.random.Generator, m: int) -> np.ndarray:
-        raise NotImplementedError
+def _iid(tag: str, d: int, factor, param=None) -> CloudSpec:
+    """Points with i.i.d. coordinates; ``factor(rng, size)`` draws them."""
+    return CloudSpec(tag, lambda rng, m: factor(rng, (m, d)), param)
 
 
-@dataclass(frozen=True)
-class IIDSpec(CloudSpec):
-    factor: _Factor = None
-    d: int = 1
+def _signed(factor, multiplier: float = 1.0):
+    """A factor times an independent random sign (and a constant)."""
 
-    @property
-    def dim(self) -> int:
-        return self.d
+    def draw(rng, size):
+        values = factor(rng, size)
+        signs = rng.choice(np.array([-1.0, 1.0]), size=size)
+        return values * signs * multiplier
 
-    def sample(self, rng, m):
-        return self.factor.draw(rng, (m, self.d))
+    return draw
 
 
-@dataclass(frozen=True)
-class GaussianSpec(CloudSpec):
-    mean: tuple = ()
-    chol: Optional[tuple] = None  # row-major lower factor; None is identity
+def _gaussian(tag: str, mean: tuple, chol: Optional[tuple] = None, param=None):
+    """Gaussian with a row-major lower Cholesky factor; None is identity."""
 
-    @property
-    def dim(self) -> int:
-        return len(self.mean)
+    def draw(rng, m):
+        z = rng.standard_normal((m, len(mean)))
+        if chol is not None:
+            z = z @ np.asarray(chol).T
+        return np.asarray(mean) + z
 
-    def sample(self, rng, m):
-        z = rng.standard_normal((m, self.dim))
-        if self.chol is not None:
-            z = z @ np.asarray(self.chol).T
-        return np.asarray(self.mean) + z
+    return CloudSpec(tag, draw, param)
 
 
-@dataclass(frozen=True)
-class CubeSpec(CloudSpec):
-    origin: tuple = ()
-    side: float = 1.0
+def _cube(tag: str, origin: tuple, side: float, param) -> CloudSpec:
+    def draw(rng, m):
+        return np.asarray(origin) + side * rng.random((m, len(origin)))
 
-    @property
-    def dim(self) -> int:
-        return len(self.origin)
-
-    def sample(self, rng, m):
-        return np.asarray(self.origin) + self.side * rng.random((m, self.dim))
+    return CloudSpec(tag, draw, param)
 
 
-@dataclass(frozen=True)
-class MultinomialSpec(CloudSpec):
-    trials: int = 1
-    probs: tuple = ()
-
-    @property
-    def dim(self) -> int:
-        return len(self.probs)
-
-    def sample(self, rng, m):
-        return rng.multinomial(self.trials, self.probs, size=m).astype(np.float64)
+def _multinomial(tag: str, trials: int, probs: tuple) -> CloudSpec:
+    return CloudSpec(
+        tag, lambda rng, m: rng.multinomial(trials, probs, size=m).astype(np.float64)
+    )
 
 
 def ar_cholesky(d: int, rho: float) -> tuple:
@@ -259,160 +129,175 @@ def _iso_chol(d: int, sd: float) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# populations
+# populations: draw one specification per cloud as ``(rng, d) -> CloudSpec``
 # ---------------------------------------------------------------------------
 
 
-class _Population:
-    """Draws one distribution specification per cloud."""
-
-    dim: int
-
-    def draw_spec(self, rng: np.random.Generator) -> CloudSpec:
-        raise NotImplementedError
+def _exp_beta_rate(rng, d):
+    rate = max(float(rng.beta(2.0, 2.0)), _RATE_FLOOR)
+    return _iid(
+        "exponential", d, lambda rng, size: rng.exponential(1.0 / rate, size), rate
+    )
 
 
-class ExpBetaRatePopulation(_Population):
-    dim = 1
-
-    def draw_spec(self, rng):
-        rate = max(float(rng.beta(2.0, 2.0)), _RATE_FLOOR)
-        return IIDSpec(tag="exponential", param=rate, factor=ExpFactor(rate), d=1)
+def _weibull_shape(rng, d):
+    shape = float(rng.integers(1, 3))
+    return _iid("weibull", d, lambda rng, size: rng.weibull(shape, size), shape)
 
 
-class WeibullShapePopulation(_Population):
-    dim = 1
-
-    def draw_spec(self, rng):
-        shape = float(rng.integers(1, 3))
-        return IIDSpec(tag="weibull", param=shape, factor=WeibullFactor(shape), d=1)
+def _four_center_gaussian(rng, d):
+    idx = int(rng.integers(4))
+    return _gaussian("gaussian_center", analytic.FOUR_CENTERS[idx], param=float(idx))
 
 
-class FourCenterGaussianPopulation(_Population):
-    dim = 2
-
-    def draw_spec(self, rng):
-        idx = int(rng.integers(4))
-        return GaussianSpec(
-            tag="gaussian_center", param=float(idx), mean=analytic.FOUR_CENTERS[idx]
-        )
+def _cube_side(rng, d):
+    side = float(rng.uniform(1.0, 2.0))
+    return _cube("cube", (0.0,) * d, side, side)
 
 
-class CubeSidePopulation(_Population):
-    dim = 2
-
-    def draw_spec(self, rng):
-        side = float(rng.uniform(1.0, 2.0))
-        return CubeSpec(tag="cube", param=side, origin=(0.0, 0.0), side=side)
-
-
-class GaussianLocationPopulation(_Population):
+def _gaussian_location(rng, d, *, rho: Optional[float] = None, uniform_centers=True):
     """Gaussians sharing one covariance, centers drawn from a prior."""
-
-    def __init__(self, d: int, rho: Optional[float] = None, centers: str = "uniform"):
-        self.dim = d
-        self._chol = ar_cholesky(d, rho) if rho is not None else None
-        self._centers = centers
-
-    def _draw_center(self, rng):
-        if self._centers == "uniform":
-            return rng.uniform(-2.0, 2.0, self.dim)
-        return rng.standard_normal(self.dim)
-
-    def draw_spec(self, rng):
-        center = self._draw_center(rng)
-        return GaussianSpec(
-            tag="gaussian_location",
-            param=tuple(center),
-            mean=tuple(center),
-            chol=self._chol,
-        )
+    if uniform_centers:
+        center = rng.uniform(-2.0, 2.0, d)
+    else:
+        center = rng.standard_normal(d)
+    chol = ar_cholesky(d, rho) if rho is not None else None
+    return _gaussian("gaussian_location", tuple(center), chol, param=tuple(center))
 
 
-class CubeLocationPopulation(_Population):
+def _cube_location(rng, d):
     """Unit cubes centered at standard normal draws."""
-
-    def __init__(self, d: int):
-        self.dim = d
-
-    def draw_spec(self, rng):
-        center = rng.standard_normal(self.dim)
-        return CubeSpec(
-            tag="unit_cube",
-            param=tuple(center),
-            origin=tuple(center - 0.5),
-            side=1.0,
-        )
+    center = rng.standard_normal(d)
+    return _cube("unit_cube", tuple(center - 0.5), 1.0, tuple(center))
 
 
-class LaplaceLocationPopulation(_Population):
-    dim = 1
-
-    def draw_spec(self, rng):
-        loc = float(rng.standard_normal())
-        return IIDSpec(
-            tag="laplace", param=loc, factor=LaplaceFactor(loc), d=1
-        )
+def _laplace_location(rng, d):
+    loc = float(rng.standard_normal())
+    return _iid("laplace", d, lambda rng, size: rng.laplace(loc, 1.0, size), loc)
 
 
-class UniformIntervalPopulation(_Population):
+def _uniform_interval(rng, d, *, beta_upper=False):
     """Products of ``Uniform([0, u])`` factors with a random upper bound."""
-
-    def __init__(self, d: int, upper: str = "uniform12"):
-        self.dim = d
-        self._upper = upper
-
-    def draw_spec(self, rng):
-        if self._upper == "uniform12":
-            u = float(rng.uniform(1.0, 2.0))
-        else:  # beta(2,2) shifted into [1, 2]
-            u = float(rng.beta(2.0, 2.0) + 1.0)
-        return IIDSpec(
-            tag="uniform_interval", param=u, factor=UniformFactor(0.0, u), d=self.dim
-        )
+    if beta_upper:  # beta(2,2) shifted into [1, 2]
+        u = float(rng.beta(2.0, 2.0) + 1.0)
+    else:
+        u = float(rng.uniform(1.0, 2.0))
+    return _iid("uniform_interval", d, lambda rng, size: rng.uniform(0.0, u, size), u)
 
 
-class GaussianScalePopulation(_Population):
+def _gaussian_scale(rng, d):
     """Spherical Gaussians with random centers and random spread."""
+    center = rng.standard_normal(d)
+    sd = float(rng.uniform(0.8, 1.0))
+    return _gaussian(
+        "gaussian_scale", tuple(center), _iso_chol(d, sd), param=(tuple(center), sd)
+    )
 
-    def __init__(self, d: int):
-        self.dim = d
 
-    def draw_spec(self, rng):
-        center = rng.standard_normal(self.dim)
-        sd = float(rng.uniform(0.8, 1.0))
-        return GaussianSpec(
-            tag="gaussian_scale",
-            param=(tuple(center), sd),
-            mean=tuple(center),
-            chol=_iso_chol(self.dim, sd),
-        )
+# ---------------------------------------------------------------------------
+# planted clouds: the six outliers and the four exotic distributions
+# ---------------------------------------------------------------------------
+
+
+def _counts(factor):
+    return lambda rng, size: factor(rng, size).astype(np.float64)
+
+
+def _choice(values: tuple):
+    return lambda rng, size: rng.choice(np.asarray(values, dtype=np.float64), size=size)
+
+
+def _outliers_case1(d: int) -> list[CloudSpec]:
+    probs = (0.25, 0.25, 0.15, 0.15, 0.15, 0.01, 0.01, 0.01, 0.01, 0.01)
+    return [
+        _gaussian("out_gauss_far", (5.0,) * d),
+        _gaussian("out_gauss_far_ar", (5.0,) * d, ar_cholesky(d, 0.5)),
+        _iid("out_gamma", d, lambda rng, size: rng.gamma(3.0, 1.0 / 2.0, size)),
+        _iid("out_wide_uniform", d, lambda rng, size: rng.uniform(-6.0, 6.0, size)),
+        _iid("out_beta_bimodal", d, lambda rng, size: rng.beta(0.1, 0.1, size)),
+        _multinomial("out_multinomial", 2 * d, probs),
+    ]
+
+
+def _outliers_case2(d: int) -> list[CloudSpec]:
+    probs = (0.25, 0.15, 0.1, 0.1, 0.15, 0.05, 0.05, 0.05, 0.05, 0.05)
+    return [
+        _gaussian("out_gauss_far", (3.0,) * d),
+        _gaussian("out_gauss_neg_ar", (-1.0,) * d, ar_cholesky(d, 0.5)),
+        _iid("out_poisson", d, _counts(lambda rng, size: rng.poisson(3.0, size))),
+        _iid("out_binomial", d, _counts(lambda rng, size: rng.binomial(d, 0.2, size))),
+        _iid("out_chisquare", d, lambda rng, size: rng.chisquare(10.0, size)),
+        _multinomial("out_multinomial", 2 * d, probs),
+    ]
+
+
+def _exotics_case1(d: int) -> list[CloudSpec]:
+    return [
+        _iid("exo_gamma", d, lambda rng, size: rng.gamma(3.0, 1.0 / 2.0, size)),
+        _iid(
+            "exo_signed_weibull", d,
+            _signed(lambda rng, size: rng.weibull(2.0, size), 3.0),
+        ),
+        _iid("exo_choice", d, _choice((-3.5, -2.5, 2.5, 3.5))),
+        _gaussian("exo_gauss_ar", (-3.0, 3.0, -3.0), ar_cholesky(d, 0.5)),
+    ]
+
+
+def _exotics_case2(d: int) -> list[CloudSpec]:
+    return [
+        _iid("exo_poisson", d, _counts(lambda rng, size: rng.poisson(1.0, size))),
+        _iid(
+            "exo_signed_exponential", d,
+            _signed(lambda rng, size: rng.exponential(1.0 / 2.0, size)),
+        ),
+        _iid("exo_choice", d, _choice((1.0, 2.0, 3.0))),
+        _multinomial("exo_multinomial", 2 * d, (0.1, 0.2, 0.7)),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # experiment registry
 # ---------------------------------------------------------------------------
 
+
+@dataclass(frozen=True)
+class _Case:
+    """How one experiment case draws its clouds.
+
+    ``d`` is the case's fixed dimension, or None when the configuration
+    chooses it; ``planted(d)`` lists the clouds appended to every draw.
+    """
+
+    population: Callable[[np.random.Generator, int], CloudSpec]
+    d: Optional[int] = None
+    planted: Callable[[int], list] = lambda d: []
+
+
 _CASES = {
-    "consistency": (1, 2, 3, 4),
-    "location_equivalence": (1, 2, 3, 4),
-    "outliers": (1, 2),
-    "kernel_comparison": (1, 2),
+    ("consistency", 1): _Case(_exp_beta_rate, d=1),
+    ("consistency", 2): _Case(_weibull_shape, d=1),
+    ("consistency", 3): _Case(_four_center_gaussian, d=2),
+    ("consistency", 4): _Case(_cube_side, d=2),
+    ("location_equivalence", 1): _Case(_gaussian_location),
+    ("location_equivalence", 2): _Case(partial(_gaussian_location, rho=0.2)),
+    ("location_equivalence", 3): _Case(_cube_location),
+    ("location_equivalence", 4): _Case(_laplace_location, d=1),
+    ("outliers", 1): _Case(
+        partial(_gaussian_location, uniform_centers=False),
+        d=10,
+        planted=_outliers_case1,
+    ),
+    ("outliers", 2): _Case(_uniform_interval, d=10, planted=_outliers_case2),
+    ("kernel_comparison", 1): _Case(_gaussian_scale, d=3, planted=_exotics_case1),
+    ("kernel_comparison", 2): _Case(
+        partial(_uniform_interval, beta_upper=True), d=3, planted=_exotics_case2
+    ),
 }
 
-_FIXED_D = {
-    ("consistency", 1): 1,
-    ("consistency", 2): 1,
-    ("consistency", 3): 2,
-    ("consistency", 4): 2,
-    ("location_equivalence", 4): 1,
-    ("outliers", 1): 10,
-    ("outliers", 2): 10,
-    ("kernel_comparison", 1): 3,
-    ("kernel_comparison", 2): 3,
-}
+EXPERIMENTS = tuple(dict.fromkeys(experiment for experiment, _ in _CASES))
 
-_DEFAULT_D = {"location_equivalence": 10}
+# Dimension of the cases that do not fix one, unless the configuration does.
+_DEFAULT_D = 10
 
 
 @dataclass(frozen=True)
@@ -433,7 +318,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
             raise InvalidParameter(f"unknown experiment {self.experiment!r}")
-        if self.case not in _CASES[self.experiment]:
+        if (self.experiment, self.case) not in _CASES:
             raise InvalidParameter(
                 f"experiment {self.experiment!r} has no case {self.case}"
             )
@@ -448,15 +333,10 @@ class ExperimentConfig:
             )
         if not 0 <= self.seed < 2**64:
             raise InvalidParameter("seed must fit in 64 unsigned bits")
-        if not 0.0 <= self.threshold_quantile <= 1.0:
-            raise InvalidParameter(
-                f"threshold quantile must lie in [0, 1], got {self.threshold_quantile}"
-            )
-        if not self.bandwidth > 0:
-            raise InvalidParameter(f"bandwidth must be > 0, got {self.bandwidth}")
-        if self.threads < 1:
-            raise InvalidParameter(f"threads must be >= 1, got {self.threads}")
-        fixed = _FIXED_D.get((self.experiment, self.case))
+        check_threshold(self.threshold_quantile)
+        check_bandwidth(self.bandwidth)
+        check_threads(self.threads)
+        fixed = _CASES[self.experiment, self.case].d
         if fixed is not None and self.d is not None and self.d != fixed:
             raise InvalidParameter(
                 f"{self.experiment} case {self.case} is defined in d={fixed}"
@@ -464,97 +344,10 @@ class ExperimentConfig:
 
     @property
     def resolved_d(self) -> int:
-        fixed = _FIXED_D.get((self.experiment, self.case))
+        fixed = _CASES[self.experiment, self.case].d
         if fixed is not None:
             return fixed
-        if self.d is not None:
-            return self.d
-        return _DEFAULT_D.get(self.experiment, 10)
-
-
-def _population_for(config: ExperimentConfig) -> _Population:
-    key = (config.experiment, config.case)
-    d = config.resolved_d
-    if key == ("consistency", 1):
-        return ExpBetaRatePopulation()
-    if key == ("consistency", 2):
-        return WeibullShapePopulation()
-    if key == ("consistency", 3):
-        return FourCenterGaussianPopulation()
-    if key == ("consistency", 4):
-        return CubeSidePopulation()
-    if key == ("location_equivalence", 1):
-        return GaussianLocationPopulation(d)
-    if key == ("location_equivalence", 2):
-        return GaussianLocationPopulation(d, rho=0.2)
-    if key == ("location_equivalence", 3):
-        return CubeLocationPopulation(d)
-    if key == ("location_equivalence", 4):
-        return LaplaceLocationPopulation()
-    if key == ("outliers", 1):
-        return GaussianLocationPopulation(d, centers="normal")
-    if key == ("outliers", 2):
-        return UniformIntervalPopulation(d)
-    if key == ("kernel_comparison", 1):
-        return GaussianScalePopulation(d)
-    if key == ("kernel_comparison", 2):
-        return UniformIntervalPopulation(d, upper="beta_plus_one")
-    raise InvalidParameter(f"no population for {key}")
-
-
-def _outlier_specs(case: int, d: int) -> list[CloudSpec]:
-    """The six planted outlier distributions per outlier case."""
-    ar_half = ar_cholesky(d, 0.5)
-    if case == 1:
-        probs = (0.25, 0.25, 0.15, 0.15, 0.15, 0.01, 0.01, 0.01, 0.01, 0.01)
-        return [
-            GaussianSpec(tag="out_gauss_far", mean=(5.0,) * d),
-            GaussianSpec(tag="out_gauss_far_ar", mean=(5.0,) * d, chol=ar_half),
-            IIDSpec(tag="out_gamma", factor=GammaFactor(3.0, 2.0), d=d),
-            IIDSpec(tag="out_wide_uniform", factor=UniformFactor(-6.0, 6.0), d=d),
-            IIDSpec(tag="out_beta_bimodal", factor=BetaFactor(0.1, 0.1), d=d),
-            MultinomialSpec(tag="out_multinomial", trials=2 * d, probs=probs),
-        ]
-    probs = (0.25, 0.15, 0.1, 0.1, 0.15, 0.05, 0.05, 0.05, 0.05, 0.05)
-    return [
-        GaussianSpec(tag="out_gauss_far", mean=(3.0,) * d),
-        GaussianSpec(tag="out_gauss_neg_ar", mean=(-1.0,) * d, chol=ar_half),
-        IIDSpec(tag="out_poisson", factor=PoissonFactor(3.0), d=d),
-        IIDSpec(tag="out_binomial", factor=BinomialFactor(d, 0.2), d=d),
-        IIDSpec(tag="out_chisquare", factor=ChiSquareFactor(10.0), d=d),
-        MultinomialSpec(tag="out_multinomial", trials=2 * d, probs=probs),
-    ]
-
-
-def _exotic_specs(case: int, d: int) -> list[CloudSpec]:
-    """The four exotic distributions of the embedding comparison."""
-    if case == 1:
-        return [
-            IIDSpec(tag="exo_gamma", factor=GammaFactor(3.0, 2.0), d=d),
-            IIDSpec(
-                tag="exo_signed_weibull",
-                factor=SignFlipFactor(WeibullFactor(2.0), 3.0),
-                d=d,
-            ),
-            IIDSpec(
-                tag="exo_choice",
-                factor=ChoiceFactor((-3.5, -2.5, 2.5, 3.5)),
-                d=d,
-            ),
-            GaussianSpec(
-                tag="exo_gauss_ar", mean=(-3.0, 3.0, -3.0), chol=ar_cholesky(d, 0.5)
-            ),
-        ]
-    return [
-        IIDSpec(tag="exo_poisson", factor=PoissonFactor(1.0), d=d),
-        IIDSpec(
-            tag="exo_signed_exponential",
-            factor=SignFlipFactor(ExpFactor(2.0)),
-            d=d,
-        ),
-        IIDSpec(tag="exo_choice", factor=ChoiceFactor((1.0, 2.0, 3.0)), d=d),
-        MultinomialSpec(tag="exo_multinomial", trials=2 * d, probs=(0.1, 0.2, 0.7)),
-    ]
+        return self.d if self.d is not None else _DEFAULT_D
 
 
 # ---------------------------------------------------------------------------
@@ -588,20 +381,17 @@ class DataArray:
         return len(self.clouds)
 
 
-def _sample_cloud(spec: CloudSpec, rng: np.random.Generator, m: int) -> Cloud:
-    return Cloud(spec.sample(rng, m))
-
-
 def sample_two_stage(config: ExperimentConfig, rep: int = 0) -> DataArray:
     """Draw ``n`` population clouds of ``m`` points for one repetition."""
-    population = _population_for(config)
+    population = _CASES[config.experiment, config.case].population
+    d = config.resolved_d
     clouds = []
     tags = []
     params = []
     for i in range(config.n):
         rng = substream(config.seed, rep, _NS_POPULATION, i)
-        spec = population.draw_spec(rng)
-        clouds.append(_sample_cloud(spec, rng, config.m))
+        spec = population(rng, d)
+        clouds.append(Cloud(spec.draw(rng, config.m)))
         tags.append(spec.tag)
         params.append(spec.param)
     return DataArray(
@@ -613,9 +403,18 @@ def _sample_planted(
     specs: Sequence[CloudSpec], config: ExperimentConfig, rep: int
 ) -> list[Cloud]:
     return [
-        _sample_cloud(spec, substream(config.seed, rep, _NS_PLANTED, k), config.m)
+        Cloud(spec.draw(substream(config.seed, rep, _NS_PLANTED, k), config.m))
         for k, spec in enumerate(specs)
     ]
+
+
+def sample_experiment(config: ExperimentConfig, rep: int = 0) -> list[Cloud]:
+    """The clouds one repetition ranks: the ``n`` regular clouds of
+    :func:`sample_two_stage`, then the case's planted clouds (six outliers
+    or four exotic distributions; none for the other experiments)."""
+    specs = _CASES[config.experiment, config.case].planted(config.resolved_d)
+    clouds = list(sample_two_stage(config, rep=rep).clouds)
+    return clouds + _sample_planted(specs, config, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -850,13 +649,11 @@ def run_outlier_experiment(config: ExperimentConfig) -> OutlierResult:
     ``k`` smallest depths (``k`` = number planted); flags follow the
     configured quantile threshold.
     """
-    specs = _outlier_specs(config.case, config.resolved_d)
     recoveries = []
     report = None
     planted: tuple = ()
     for rep in range(config.repetitions):
-        data = sample_two_stage(config, rep=rep)
-        clouds = list(data.clouds) + _sample_planted(specs, config, rep)
+        clouds = sample_experiment(config, rep)
         planted = tuple(range(config.n, len(clouds)))
         report = wsd_all(
             clouds, config.threshold_quantile, threads=config.threads
@@ -907,25 +704,17 @@ def run_kernel_comparison(config: ExperimentConfig) -> KernelComparisonResult:
     """
     if config.n < 1:
         raise EmptyPopulation("kernel comparison needs at least one regular cloud")
-    specs = _exotic_specs(config.case, config.resolved_d)
     wsd_hits = []
     kernel_hits = []
     rows = ()
     for rep in range(config.repetitions):
-        data = sample_two_stage(config, rep=rep)
-        clouds = list(data.clouds) + _sample_planted(specs, config, rep)
+        clouds = sample_experiment(config, rep)
         exotic = set(range(config.n, len(clouds)))
         k = len(exotic)
         wsd_report = wsd_all(clouds, config.threshold_quantile, threads=config.threads)
-        gram = _embedding_gram(clouds, config.bandwidth)
-        kernel_values = np.array(
-            [
-                _kernel_depth_from_gram(
-                    gram, qi, [i for i in range(len(clouds)) if i != qi]
-                )
-                for qi in range(len(clouds))
-            ]
-        )
+        kernel_values = compute_depths(
+            clouds, "kernel_spatial", bandwidth=config.bandwidth
+        ).values
         wsd_hits.append(
             set(np.argsort(wsd_report.values, kind="stable")[:k].tolist()) == exotic
         )

@@ -155,6 +155,51 @@ def test_cmd_depth_numerical_error_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--threads", "0"],
+        ["--threads", "-5"],
+        ["--threshold", "2"],
+        ["--method", "kernel-spatial", "--bandwidth", "0"],
+        ["--method", "kernel-spatial", "--bandwidth", "-1"],
+    ],
+)
+def test_cmd_depth_bad_parameter_is_configuration_error(
+    flags, small_csv, tmp_path, capsys
+):
+    out = tmp_path / "x.jsonl"
+    code = main(
+        ["depth", "--input", small_csv, "--group-col", "group", *flags,
+         "--out", str(out)]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cmd_depth_overflowing_coordinates_exit_three(tmp_path, capsys):
+    # squared differences of coordinates near 1e160 overflow to inf and the
+    # assignment solver rejects the cost matrix
+    rng = np.random.default_rng(4)
+    lines = ["group,x0,x1"]
+    for gid in range(4):
+        for row in rng.normal(size=(5, 2)) * 1e160:
+            lines.append(f"g{gid}," + ",".join(repr(float(v)) for v in row))
+    path = write(tmp_path / "huge.csv", "\n".join(lines) + "\n")
+    code = main(
+        ["depth", "--input", path, "--group-col", "group", "--out",
+         str(tmp_path / "x.jsonl")]
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: clouds (0, 1): cost matrix is infeasible"
+    ]
+    assert "Traceback" not in err
+
+
 def test_climate_shaped_ingestion_flags_eight(tmp_path):
     # 150 groups x 40 rows x 12 columns, 5% threshold -> ceil(7.5) = 8 flags
     rng = np.random.default_rng(12)

@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+import wsdepth.ot_core
 from wsdepth import (
     Cloud,
+    DimensionMismatch,
     EmptyPopulation,
+    InvalidParameter,
     NonpositiveBandwidth,
     TooFewDistributions,
     compute_depths,
@@ -361,3 +364,40 @@ def test_compute_depths_matches_direct_functions(rng):
     lens_report = compute_depths(clouds, "lens")
     for i in range(4):
         assert lens_report.values[i] == lens_depth(i, clouds)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"threshold_quantile": 2.0},
+        {"method": "lens", "threshold_quantile": -0.1},
+        {"threads": 0},
+        {"method": "metric_spatial", "threads": -3},
+        {"method": "wsd_discrete", "threads": -3},
+        {"method": "kernel_spatial", "bandwidth": 0.0},
+        {"method": "kernel_spatial", "bandwidth": -1.0},
+    ],
+)
+def test_compute_depths_rejects_parameters_before_solving(kwargs, rng, monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("a transport plan was solved")
+
+    monkeypatch.setattr(wsdepth.ot_core, "solve_ot", refuse)
+    clouds = [make_cloud(rng, 4, 2) for _ in range(4)]
+    with pytest.raises(InvalidParameter):
+        compute_depths(clouds, **kwargs)
+
+
+def test_direct_depths_reject_nonpositive_threads(rng):
+    clouds = [make_cloud(rng, 4, 2) for _ in range(3)]
+    with pytest.raises(InvalidParameter):
+        wsd_empirical(clouds[0], clouds, threads=-3)
+    with pytest.raises(InvalidParameter):
+        wsd_discrete(clouds[0], clouds, threads=0)
+
+
+@pytest.mark.parametrize("method", ["wsd", "lens", "kernel_spatial"])
+def test_compute_depths_rejects_mixed_dimensions(method, rng):
+    clouds = [make_cloud(rng, 4, 2) for _ in range(3)] + [make_cloud(rng, 4, 3)]
+    with pytest.raises(DimensionMismatch):
+        compute_depths(clouds, method)

@@ -11,7 +11,9 @@ from wsdepth import (
     Coupling,
     DimensionMismatch,
     InvalidCloud,
+    InvalidParameter,
     MarginalMismatch,
+    NumericalError,
     PairwiseTransport,
     barycentric_map,
     solve_ot,
@@ -19,6 +21,7 @@ from wsdepth import (
     w2_matrix,
     w2_squared,
 )
+import wsdepth.ot_core
 from wsdepth.ot_core import plan_cost
 
 from conftest import brute_force_assignment_cost, make_cloud
@@ -83,7 +86,9 @@ def test_single_point_clouds():
     a = Cloud(np.array([[1.0, 2.0]]))
     b = Cloud(np.array([[4.0, 6.0]]))
     plan = solve_ot(a, b)
-    assert plan.entries == [(0, 0, 1.0)]
+    assert (plan.rows.tolist(), plan.cols.tolist(), plan.mass.tolist()) == (
+        [0], [0], [1.0]
+    )
     assert w2_squared(a, b) == pytest.approx(25.0, abs=1e-12)
 
 
@@ -337,3 +342,37 @@ def test_w2_matrix_identifies_offending_pair(rng):
     other = make_cloud(rng, 3, 3)
     with pytest.raises(DimensionMismatch):
         w2_matrix([good, other])
+
+
+class _ForeignFailure(Exception):
+    """A third-party error whose constructor takes more than a message."""
+
+    def __init__(self, code, text):
+        super().__init__(f"{text} (code {code})")
+
+
+@pytest.mark.parametrize(
+    "raised, expected",
+    [
+        (NumericalError("marginals off"), NumericalError),
+        (MarginalMismatch("row sums off"), MarginalMismatch),
+        (ValueError("cost matrix is infeasible"), NumericalError),
+        (_ForeignFailure(7, "solver gave up"), NumericalError),
+    ],
+)
+def test_pair_failures_are_typed_and_name_the_pair(raised, expected, rng, monkeypatch):
+    def fail(a, b):
+        raise raised
+
+    monkeypatch.setattr(wsdepth.ot_core, "solve_ot", fail)
+    clouds = [make_cloud(rng, 3, 2) for _ in range(3)]
+    with pytest.raises(expected, match=r"^clouds \(0, 1\): ") as info:
+        PairwiseTransport(clouds).precompute()
+    assert str(raised) in str(info.value)
+
+
+def test_pairwise_cache_rejects_nonpositive_threads(rng):
+    clouds = [make_cloud(rng, 3, 2) for _ in range(3)]
+    for threads in (0, -3):
+        with pytest.raises(InvalidParameter):
+            PairwiseTransport(clouds, threads=threads)

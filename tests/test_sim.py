@@ -10,15 +10,11 @@ from wsdepth import (
     run_kernel_comparison,
     run_location_equivalence,
     run_outlier_experiment,
+    sample_experiment,
     sample_two_stage,
     substream,
 )
-from wsdepth.sim import (
-    _exotic_specs,
-    _outlier_specs,
-    _sample_planted,
-    analytic_value,
-)
+from wsdepth.sim import analytic_value
 
 
 def config(**kw):
@@ -47,6 +43,8 @@ def test_config_rejects_bad_values():
         config(threshold_quantile=1.5)
     with pytest.raises(InvalidParameter):
         config(bandwidth=0.0)
+    with pytest.raises(InvalidParameter):
+        config(threads=0)
     with pytest.raises(InvalidParameter):
         config(d=3)  # case 1 is one-dimensional
 
@@ -130,26 +128,34 @@ def test_cube_population_support():
 
 def test_outlier_specs_sample_expected_shapes():
     cfg = config(experiment="outliers", case=1, n=3, m=12)
-    specs = _outlier_specs(1, 10)
-    assert len(specs) == 6
-    clouds = _sample_planted(specs, cfg, rep=0)
+    clouds = sample_experiment(cfg, rep=0)
+    assert len(clouds) == 9  # 3 regular + 6 planted
     for cloud in clouds:
         assert cloud.points.shape == (12, 10)
-    counts = clouds[5].points  # multinomial counts over 2d trials
+    counts = clouds[3 + 5].points  # multinomial counts over 2d trials
     np.testing.assert_array_equal(counts.sum(axis=1), np.full(12, 20.0))
-    specs2 = _outlier_specs(2, 10)
-    clouds2 = _sample_planted(specs2, cfg, rep=0)
-    assert (clouds2[2].points >= 0).all()  # poisson counts
-    assert (clouds2[3].points <= 10).all()  # binomial(d, .) counts
+    planted2 = sample_experiment(config(experiment="outliers", case=2, n=3, m=12))[3:]
+    assert len(planted2) == 6
+    assert (planted2[2].points >= 0).all()  # poisson counts
+    assert (planted2[3].points <= 10).all()  # binomial(d, .) counts
 
 
 def test_exotic_specs_sample_expected_shapes():
-    cfg = config(experiment="kernel_comparison", case=1, n=3, m=9)
     for case in (1, 2):
-        clouds = _sample_planted(_exotic_specs(case, 3), cfg, rep=0)
-        assert len(clouds) == 4
+        cfg = config(experiment="kernel_comparison", case=case, n=3, m=9)
+        clouds = sample_experiment(cfg, rep=0)
+        assert len(clouds) == 7  # 3 regular + 4 exotic
         for cloud in clouds:
             assert cloud.points.shape == (9, 3)
+
+
+def test_sample_experiment_without_planted_clouds_is_the_regular_draw():
+    cfg = config(n=4, m=5)
+    clouds = sample_experiment(cfg, rep=1)
+    regular = sample_two_stage(cfg, rep=1).clouds
+    assert len(clouds) == 4
+    for a, b in zip(clouds, regular):
+        np.testing.assert_array_equal(a.points, b.points)
 
 
 # ---------------------------------------------------------------------------
