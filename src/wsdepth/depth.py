@@ -431,25 +431,19 @@ def _embedding_gram(clouds: Sequence[Cloud], bandwidth: float) -> np.ndarray:
 
 
 def _kernel_depth_from_gram(gram: np.ndarray, qi: int, members) -> float:
-    members = list(members)
-    n = len(members)
+    idx = np.asarray(members, dtype=np.int64)
+    n = idx.shape[0]
     qq = gram[qi, qi]
-    norm_sq = np.array(
-        [max(gram[i, i] - 2.0 * gram[i, qi] + qq, 0.0) for i in members]
-    )
-    norms = np.sqrt(norm_sq)
-    terms: list[float] = []
-    for a in range(n):
-        if norms[a] == 0.0:
-            continue
-        terms.append(1.0)  # <g_a, g_a> / ||g_a||^2
-        for b in range(a + 1, n):
-            if norms[b] == 0.0:
-                continue
-            i, j = members[a], members[b]
-            inner = gram[i, j] - gram[i, qi] - gram[j, qi] + qq
-            terms.append(2.0 * inner / (norms[a] * norms[b]))
-    radicand = max(math.fsum(terms) / (n * n), 0.0)
+    gq = gram[idx, qi]
+    norms = np.sqrt(np.maximum(gram[idx, idx] - 2.0 * gq + qq, 0.0))
+    keep = norms != 0.0
+    idx, gq, norms = idx[keep], gq[keep], norms[keep]
+    a, b = np.triu_indices(idx.shape[0], 1)
+    inner = ((gram[idx[a], idx[b]] - gq[a]) - gq[b]) + qq
+    pairs = 2.0 * inner / (norms[a] * norms[b])
+    # each kept member adds <g_a, g_a> / ||g_a||^2 = 1; fsum is exact, so the
+    # count stands in for that many ones
+    radicand = max(math.fsum([float(idx.shape[0])] + pairs.tolist()) / (n * n), 0.0)
     return min(1.0, max(0.0, 1.0 - math.sqrt(radicand)))
 
 

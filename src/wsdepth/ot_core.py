@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.sparse
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.spatial.distance import cdist
 
 from .errors import (
     DimensionMismatch,
@@ -138,6 +139,15 @@ class Cloud:
         return np.unique(self.points, axis=0).shape[0] < self.m
 
     @cached_property
+    def centered(self) -> np.ndarray:
+        """The points translated so that their unweighted mean is zero."""
+        # Translating either cloud only adds row/column potentials to the
+        # cost, so the optimal assignment is unchanged; centered costs solve
+        # faster.  Overflow surfaces later as non-finite costs.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _freeze(self.points - self.points.mean(axis=0))
+
+    @cached_property
     def sort_order_1d(self) -> np.ndarray:
         """Stable ascending order of the coordinates (1-D clouds only)."""
         return _freeze(np.argsort(self.points[:, 0], kind="stable"))
@@ -198,26 +208,24 @@ class Coupling:
 
     @classmethod
     def from_permutation(cls, sigma: np.ndarray, weights: np.ndarray) -> "Coupling":
-        sigma = np.asarray(sigma, dtype=np.int64)
+        sigma = _freeze(np.array(sigma, dtype=np.int64))
         m = sigma.shape[0]
         return cls(
             rows=_freeze(np.arange(m, dtype=np.int64)),
-            cols=_freeze(sigma.copy()),
-            mass=_freeze(np.asarray(weights, dtype=np.float64).copy()),
+            cols=sigma,
+            mass=_freeze(np.array(weights, dtype=np.float64)),
             source_size=m,
             target_size=m,
-            permutation=_freeze(sigma.copy()),
+            permutation=sigma,
         )
 
+    # bincount adds each bin's masses from zero in entry order: a plain
+    # sequential sum, so the marginals are reproducible to the bit.
     def row_sums(self) -> np.ndarray:
-        out = np.zeros(self.source_size)
-        np.add.at(out, self.rows, self.mass)
-        return out
+        return np.bincount(self.rows, self.mass, self.source_size)
 
     def col_sums(self) -> np.ndarray:
-        out = np.zeros(self.target_size)
-        np.add.at(out, self.cols, self.mass)
-        return out
+        return np.bincount(self.cols, self.mass, self.target_size)
 
     def transpose(self) -> "Coupling":
         """The same plan viewed from the target side."""
@@ -251,29 +259,48 @@ class TransportMap:
 
 
 def cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of ``x`` and of ``y``."""
-    # Accumulate sum_k (x_k - y_k)^2 per coordinate: no cancellation-prone
-    # expansion and no BLAS reduction, so results are run-to-run stable.
-    out = np.zeros((x.shape[0], y.shape[0]))
-    for k in range(x.shape[1]):
-        diff = x[:, k, None] - y[None, :, k]
-        out += diff * diff
-    return out
+    """Squared Euclidean distances between the rows of ``x`` and of ``y``.
+
+    Entries that overflow float64 come out as ``inf``, without a warning.
+    """
+    # SciPy's sqeuclidean sums (x_k - y_k)^2 from zero in coordinate order:
+    # no cancellation-prone expansion and no BLAS reduction, so the result
+    # is run-to-run stable and equals a per-coordinate numpy loop bit for
+    # bit.
+    return cdist(x, y, "sqeuclidean")
+
+
+_OVERFLOW = "squared distances overflow float64"
+
+
+def _finite(cost: np.ndarray) -> np.ndarray:
+    """``cost`` unchanged; raises ``NumericalError`` on an overflowed entry."""
+    if not np.isfinite(cost).all():
+        raise NumericalError(_OVERFLOW)
+    return cost
 
 
 def _entry_costs(plan: Coupling, a: Cloud, b: Cloud) -> np.ndarray:
-    xs = a.points[plan.rows]
-    ys = b.points[plan.cols]
-    out = np.zeros(plan.rows.shape[0])
-    for k in range(a.d):
-        diff = xs[:, k] - ys[:, k]
-        out += diff * diff
+    with np.errstate(over="ignore"):  # plan_cost reports the overflow
+        diff = a.points[plan.rows] - b.points[plan.cols]
+        sq = diff * diff
+    # sum_k (x_k - y_k)^2 in coordinate order, as in cost_matrix
+    out = sq[:, 0].copy()
+    for k in range(1, a.d):
+        out += sq[:, k]
     return out
 
 
 def plan_cost(plan: Coupling, a: Cloud, b: Cloud) -> float:
-    """Total squared-displacement cost of ``plan``, correctly rounded."""
-    return math.fsum((plan.mass * _entry_costs(plan, a, b)).tolist())
+    """Total squared-displacement cost of ``plan``, correctly rounded.
+
+    Raises:
+        NumericalError: the squared displacements overflow float64.
+    """
+    total = math.fsum((plan.mass * _entry_costs(plan, a, b)).tolist())
+    if not math.isfinite(total):
+        raise NumericalError(_OVERFLOW)
+    return total
 
 
 def _check_marginals(plan: Coupling, a: Cloud, b: Cloud, tol: float) -> None:
@@ -366,14 +393,8 @@ def _canonicalize_duplicate_ties(
     return sigma
 
 
-def _centered(points: np.ndarray) -> np.ndarray:
-    # Translating either cloud only adds row/column potentials to the cost,
-    # so the optimal assignment is unchanged; centered costs solve faster.
-    return points - points.mean(axis=0)
-
-
 def _solve_assignment(a: Cloud, b: Cloud) -> Coupling:
-    cost = cost_matrix(_centered(a.points), _centered(b.points))
+    cost = _finite(cost_matrix(a.centered, b.centered))
     _, sigma = linear_sum_assignment(cost)
     sigma = sigma.astype(np.int64)
     if a.has_duplicate_points or b.has_duplicate_points:
@@ -390,9 +411,7 @@ def _solve_replicated_assignment(a: Cloud, b: Cloud) -> Coupling:
     ``k`` times turns the problem into a plain assignment.
     """
     k = a.m // b.m
-    cost = np.repeat(
-        cost_matrix(_centered(a.points), _centered(b.points)), k, axis=1
-    )
+    cost = np.repeat(_finite(cost_matrix(a.centered, b.centered)), k, axis=1)
     _, sigma = linear_sum_assignment(cost)
     cols = (sigma // k).astype(np.int64)
     return Coupling.from_arrays(
@@ -400,19 +419,26 @@ def _solve_replicated_assignment(a: Cloud, b: Cloud) -> Coupling:
     )
 
 
+def _marginal_constraints(ma: int, mb: int) -> scipy.sparse.csr_matrix:
+    """Row-sum then column-sum constraints on a row-major ``ma x mb`` plan."""
+    n = ma * mb
+    var = np.arange(n, dtype=np.int32)
+    indptr = np.concatenate(
+        [np.arange(0, n + 1, mb, dtype=np.int32),
+         n + np.arange(ma, n + 1, ma, dtype=np.int32)]
+    )
+    indices = np.concatenate([var, var.reshape(ma, mb).T.ravel()])
+    return scipy.sparse.csr_matrix(
+        (np.ones(2 * n), indices, indptr), shape=(ma + mb, n)
+    )
+
+
 def _solve_lp(a: Cloud, b: Cloud) -> Coupling:
-    cost = cost_matrix(a.points, b.points)
+    cost = _finite(cost_matrix(a.points, b.points))
     ma, mb = a.m, b.m
-    var = np.arange(ma * mb)
-    row_con = scipy.sparse.csr_matrix(
-        (np.ones(ma * mb), (var // mb, var)), shape=(ma, ma * mb)
-    )
-    col_con = scipy.sparse.csr_matrix(
-        (np.ones(ma * mb), (var % mb, var)), shape=(mb, ma * mb)
-    )
     res = linprog(
         cost.ravel(),
-        A_eq=scipy.sparse.vstack([row_con, col_con]).tocsr(),
+        A_eq=_marginal_constraints(ma, mb),
         b_eq=np.concatenate([a.weights, b.weights]),
         bounds=(0, None),
         method="highs",
@@ -439,8 +465,9 @@ def solve_ot(a: Cloud, b: Cloud) -> Coupling:
 
     Raises:
         DimensionMismatch: the clouds live in different dimensions.
-        NumericalError: the returned plan violates marginal feasibility
-            beyond ``1e-9`` (solver failure).
+        NumericalError: the squared distances overflow float64, or the
+            returned plan violates marginal feasibility beyond ``1e-9``
+            (solver failure).
     """
     if a.d != b.d:
         raise DimensionMismatch(f"cloud dimensions differ: {a.d} vs {b.d}")

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
 per criterion.  Seeds are fixed constants chosen up front; tolerances come
-from the criteria themselves and are not tuned.
+from the criteria themselves and are not tuned.  Criteria that take minutes
+are marked ``slow``; ``pytest -m "not slow"`` leaves them out.
 """
 import time
 import warnings
@@ -68,6 +69,7 @@ def test_criterion_01_ot_oracle_equivalence():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_02_bures_convergence():
     # separation ~5 keeps the finite-m transport bias (~0.07 absolute at
     # m=2000 in 2-D) well inside the 5% relative band
@@ -123,6 +125,7 @@ def test_criterion_03_consistency_case1():
     )
 
 
+@pytest.mark.slow
 def test_criterion_04_consistency_cases_2_to_4():
     lines = []
     ok = True
@@ -142,6 +145,7 @@ def test_criterion_04_consistency_cases_2_to_4():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_05_location_equivalence():
     start = time.time()
     cfg = ExperimentConfig(
@@ -165,6 +169,7 @@ def test_criterion_05_location_equivalence():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_06_outlier_recovery():
     start = time.time()
     cfg = ExperimentConfig(

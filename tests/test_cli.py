@@ -1,9 +1,13 @@
 """Command-line surface: ingestion, depth reports, experiments, round trips."""
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wsdepth
 from wsdepth import EmptyGroup, IngestManifest, NonFiniteValue, ParseError, ingest
 from wsdepth.cli import main
 
@@ -179,9 +183,9 @@ def test_cmd_depth_bad_parameter_is_configuration_error(
     assert not out.exists()
 
 
-def test_cmd_depth_overflowing_coordinates_exit_three(tmp_path, capsys):
-    # squared differences of coordinates near 1e160 overflow to inf and the
-    # assignment solver rejects the cost matrix
+def test_cmd_depth_overflowing_coordinates_exit_three(tmp_path, capsys, recwarn):
+    # squared differences of coordinates near 1e160 overflow to inf; the
+    # assignment path rejects the cost matrix before the solver sees it
     rng = np.random.default_rng(4)
     lines = ["group,x0,x1"]
     for gid in range(4):
@@ -195,9 +199,25 @@ def test_cmd_depth_overflowing_coordinates_exit_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
-        "error: clouds (0, 1): cost matrix is infeasible"
+        "error: clouds (0, 1): squared distances overflow float64"
     ]
     assert "Traceback" not in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_python_dash_m_wsdepth_runs_quietly(small_csv, tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wsdepth.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = tmp_path / "r.jsonl"
+    done = subprocess.run(
+        [sys.executable, "-m", "wsdepth", "depth", "--input", small_csv,
+         "--group-col", "group", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert len(out.read_text().splitlines()) == 4
 
 
 def test_climate_shaped_ingestion_flags_eight(tmp_path):

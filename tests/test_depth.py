@@ -20,7 +20,7 @@ from wsdepth import (
     wsd_discrete,
     wsd_empirical,
 )
-from wsdepth.depth import make_report
+from wsdepth.depth import _kernel_depth_from_gram, make_report
 
 from conftest import make_cloud, triple_sum_depth
 
@@ -323,6 +323,53 @@ def test_kernel_depth_matches_gram_oracle(rng):
     for h in (0.5, 1.0, 2.0):
         assert kernel_spatial_depth(q, pop, h) == pytest.approx(
             gram_oracle_depth(q, pop, h), abs=1e-12
+        )
+
+
+def loop_kernel_depth(gram, qi, members) -> float:
+    """Reference: the kernel reduction as a double loop over member pairs."""
+    members = list(members)
+    n = len(members)
+    qq = gram[qi, qi]
+    norm_sq = np.array(
+        [max(gram[i, i] - 2.0 * gram[i, qi] + qq, 0.0) for i in members]
+    )
+    norms = np.sqrt(norm_sq)
+    terms = []
+    for a in range(n):
+        if norms[a] == 0.0:
+            continue
+        terms.append(1.0)
+        for b in range(a + 1, n):
+            if norms[b] == 0.0:
+                continue
+            i, j = members[a], members[b]
+            inner = gram[i, j] - gram[i, qi] - gram[j, qi] + qq
+            terms.append(2.0 * inner / (norms[a] * norms[b]))
+    radicand = max(math.fsum(terms) / (n * n), 0.0)
+    return min(1.0, max(0.0, 1.0 - math.sqrt(radicand)))
+
+
+def _copy_member(gram, dst, src):
+    gram[dst, :] = gram[src, :]
+    gram[:, dst] = gram[:, src]
+    gram[dst, dst] = gram[src, src]
+
+
+def test_kernel_reduction_equals_double_loop_bitwise(rng):
+    for _ in range(300):
+        n = int(rng.integers(2, 16))
+        emb = rng.normal(size=(n, int(rng.integers(1, 6))))
+        gram = emb @ emb.T
+        qi = int(rng.integers(n))
+        # members equal to the query (zero norm) and duplicated members
+        for _ in range(int(rng.integers(0, 3))):
+            _copy_member(gram, int(rng.integers(n)), qi)
+        for _ in range(int(rng.integers(0, 3))):
+            _copy_member(gram, int(rng.integers(n)), int(rng.integers(n)))
+        members = [i for i in range(n) if i != qi]
+        assert _kernel_depth_from_gram(gram, qi, members) == loop_kernel_depth(
+            gram, qi, members
         )
 
 

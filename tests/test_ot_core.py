@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.optimize import linprog
 
 from wsdepth import (
@@ -20,9 +22,11 @@ from wsdepth import (
     w2,
     w2_matrix,
     w2_squared,
+    wsd_all,
+    wsd_empirical,
 )
 import wsdepth.ot_core
-from wsdepth.ot_core import plan_cost
+from wsdepth.ot_core import cost_matrix, plan_cost
 
 from conftest import brute_force_assignment_cost, make_cloud
 
@@ -376,3 +380,110 @@ def test_pairwise_cache_rejects_nonpositive_threads(rng):
     for threads in (0, -3):
         with pytest.raises(InvalidParameter):
             PairwiseTransport(clouds, threads=threads)
+
+
+# ---------------------------------------------------------------------------
+# cost layer and plan bookkeeping
+# ---------------------------------------------------------------------------
+
+
+def loop_cost_matrix(x, y):
+    """Reference: sum_k (x_k - y_k)^2 accumulated from zero, coordinate by
+    coordinate, in numpy."""
+    out = np.zeros((x.shape[0], y.shape[0]))
+    for k in range(x.shape[1]):
+        diff = x[:, k, None] - y[None, :, k]
+        out += diff * diff
+    return out
+
+
+@st.composite
+def point_sets(draw, d):
+    layout = draw(st.sampled_from(["contiguous", "read-only", "strided", "fortran"]))
+    m = draw(st.integers(1, 40))
+    scale = 10.0 ** draw(st.integers(-150, 150))
+    shape = (2 * m, 2 * d) if layout == "strided" else (m, d)
+    base = draw(arrays(np.float64, shape, elements=st.floats(-8.0, 8.0)))
+    points = base * scale
+    if layout == "read-only":
+        points.setflags(write=False)
+    elif layout == "strided":
+        points = points[::2, ::2]
+    elif layout == "fortran":
+        points = np.asfortranarray(points)
+    return points
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(), d=st.integers(1, 12))
+def test_cost_matrix_equals_per_coordinate_loop_bitwise(data, d):
+    x = data.draw(point_sets(d))
+    y = data.draw(point_sets(d))
+    got = cost_matrix(x, y)
+    want = loop_cost_matrix(x, y)
+    assert got.shape == want.shape and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+
+
+def test_cloud_centered_is_exact_cached_and_read_only(rng):
+    c = make_cloud(rng, 7, 3, uniform=False)
+    centered = c.centered
+    assert centered.tobytes() == (c.points - c.points.mean(axis=0)).tobytes()
+    assert c.centered is centered
+    assert not centered.flags.writeable
+    with pytest.raises(ValueError):
+        centered[0, 0] = 1.0
+
+
+def stacked_constraints(ma, mb):
+    """Reference: one CSR block per marginal, stacked and converted to CSR."""
+    var = np.arange(ma * mb)
+    row_con = scipy.sparse.csr_matrix(
+        (np.ones(ma * mb), (var // mb, var)), shape=(ma, ma * mb)
+    )
+    col_con = scipy.sparse.csr_matrix(
+        (np.ones(ma * mb), (var % mb, var)), shape=(mb, ma * mb)
+    )
+    return scipy.sparse.vstack([row_con, col_con]).tocsr()
+
+
+@pytest.mark.parametrize(
+    "ma, mb", [(1, 1), (1, 4), (4, 1), (2, 3), (3, 2), (5, 5), (12, 23), (23, 12)]
+)
+def test_lp_constraints_equal_the_stacked_build(ma, mb):
+    got = wsdepth.ot_core._marginal_constraints(ma, mb)
+    want = stacked_constraints(ma, mb)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype, name
+        np.testing.assert_array_equal(g, w)
+
+
+def _huge(rng, m, d, offset=0.0):
+    return Cloud(rng.normal(size=(m, d)) * 1e160 + offset)
+
+
+@pytest.mark.parametrize(
+    "path",
+    ["1-D", "point mass", "assignment", "translates", "replicated assignment", "LP"],
+)
+def test_overflowing_costs_raise_numerical_error(path, rng, recwarn):
+    with pytest.raises(NumericalError, match="squared distances overflow float64"):
+        if path == "1-D":
+            # the distances are inf, which used to give every cloud depth 1.0
+            wsd_all([_huge(rng, 5, 1) for _ in range(4)])
+        elif path == "point mass":
+            w2(_huge(rng, 1, 2), _huge(rng, 4, 2))
+        elif path == "assignment":
+            wsd_empirical(_huge(rng, 5, 2), [_huge(rng, 5, 2) for _ in range(3)])
+        elif path == "translates":
+            # centred costs stay finite; the plan's own cost overflows
+            w2(Cloud(rng.normal(size=(5, 2)) + 1e160),
+               Cloud(rng.normal(size=(5, 2)) - 1e160))
+        elif path == "replicated assignment":
+            w2(_huge(rng, 6, 2), _huge(rng, 3, 2))
+        else:
+            weights = rng.dirichlet(np.ones(4))
+            w2(Cloud(rng.normal(size=(4, 2)) * 1e160, weights), _huge(rng, 5, 2))
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
