@@ -123,14 +123,19 @@ def ingest(manifest: IngestManifest) -> list[tuple[str, Cloud]]:
     Groups may have unequal sizes; every cloud carries uniform weights.
 
     Raises:
-        ParseError: malformed rows or unknown columns (row and column
-            reported).
+        ParseError: malformed rows, unknown columns (row and column
+            reported), undecodable bytes or fields that csv rejects.
         NonFiniteValue: NaN or infinite coordinate.
         EmptyGroup: the file has no data rows.
     """
     with open(manifest.path, newline="") as handle:
         reader = csv.reader(handle, delimiter=manifest.delimiter)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        try:
+            rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        except csv.Error as exc:  # e.g. a field over csv's size limit
+            raise ParseError(f"{manifest.path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{manifest.path}: not readable as text: {exc}") from None
     if not rows:
         raise EmptyGroup(f"{manifest.path}: file is empty")
     group_idx, coord_idx = _resolve_columns(manifest, rows[0])

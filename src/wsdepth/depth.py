@@ -6,9 +6,11 @@ population, each field being the barycentric transport displacement divided
 by the corresponding transport distance.  Competitor depths (lens, metric
 spatial, kernel-embedding spatial) share the same report format.
 
-Every depth is one pairwise object (transport plans, a distance matrix or an
-embedding Gram matrix) followed by one reduction per query, and the
-leave-one-out reports reuse the same reductions as the single-query calls.
+Every depth is one pass over the cloud pairs (a sweep of transport plans, a
+distance matrix or an embedding Gram matrix) followed by one reduction per
+query, and the leave-one-out reports reuse the same reductions as the
+single-query calls.  A plan lives only until its fields or its distance
+have been taken, so a leave-one-out report holds one accumulator per cloud.
 
 Determinism contract: population terms are accumulated in ascending index
 order with Neumaier compensation, and scalar reductions use ``math.fsum``,
@@ -17,7 +19,6 @@ so results do not depend on how many threads solved the transport plans.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -33,10 +34,12 @@ from .errors import (
 )
 from .ot_core import (
     Cloud,
-    PairwiseTransport,
+    Coupling,
     barycentric_map,
     check_threads,
     cost_matrix,
+    ordered_map,
+    pair_sweep,
     plan_cost,
     solve_ot,
     w2_matrix,
@@ -140,33 +143,31 @@ def _others(n: int, qi: Optional[int]) -> list[int]:
 class _NeumaierSum:
     """Elementwise compensated accumulator over a fixed-shape array."""
 
-    __slots__ = ("_sum", "_comp")
+    __slots__ = ("_sum", "_comp", "count")
 
     def __init__(self, shape) -> None:
         self._sum = np.zeros(shape)
         self._comp = np.zeros(shape)
+        self.count = 0
 
     def add(self, x: np.ndarray) -> None:
         t = self._sum + x
         big = np.abs(self._sum) >= np.abs(x)
         self._comp += np.where(big, (self._sum - t) + x, (x - t) + self._sum)
         self._sum = t
+        self.count += 1
 
     def total(self) -> np.ndarray:
         return self._sum + self._comp
 
 
-def _radicand(q: Cloud, terms, n_div: int) -> float:
+def _radicand(q: Cloud, acc: _NeumaierSum, n_div: int) -> float:
     """Weighted squared norm of the mean normalized displacement field.
 
-    ``terms`` yields ``(w2, images)`` pairs in ascending population order;
-    zero-distance terms contribute nothing but still count in ``n_div``.
+    ``acc`` holds the fields of the nonzero-distance members, added in
+    ascending population order; zero-distance members still count in
+    ``n_div``.
     """
-    acc = _NeumaierSum((q.m, q.d))
-    for dist, images in terms:
-        if dist == 0.0:
-            continue
-        acc.add((q.points - images) / dist)
     mean = acc.total() / n_div
     sq = np.zeros(q.m)
     for k in range(q.d):
@@ -190,33 +191,26 @@ def _check_population(q: Cloud, population: list[Cloud]) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _wsd(q: Cloud, terms, count: int, single_member_rule: bool) -> float:
-    """Spatial depth of ``q`` from ``count`` lazy ``(w2, images)`` terms.
+def _unit_field(
+    points: np.ndarray, cost: float, images: np.ndarray
+) -> Optional[np.ndarray]:
+    """Displacement ``points - images`` over the transport distance, or
+    ``None`` at distance zero, where the field counts as zero."""
+    dist = math.sqrt(cost)
+    return None if dist == 0.0 else (points - images) / dist
+
+
+def _wsd(q: Cloud, acc: _NeumaierSum, count: int, single_member_rule: bool) -> float:
+    """Spatial depth of ``q`` from the unit fields of ``count`` members.
 
     Under the single-member rule a lone member gives exactly ``0.0`` (or
     ``1.0`` at distance zero), the value of one unit field under a map;
     without it a lone split plan keeps its contracted field.
     """
     if single_member_rule and count == 1:
-        dist, _ = next(iter(terms))
-        return 1.0 if dist == 0.0 else 0.0
-    radicand = _radicand(q, terms, count)
+        return 0.0 if acc.count else 1.0
+    radicand = _radicand(q, acc, count)
     return min(1.0, max(0.0, 1.0 - math.sqrt(radicand)))
-
-
-def _direct_terms(q: Cloud, population: list[Cloud], indices, threads: int):
-    """``(w2, images)`` of ``q`` against each indexed member, solved q -> member."""
-
-    def term(i: int) -> tuple[float, np.ndarray]:
-        p = population[i]
-        plan = solve_ot(q, p)
-        return math.sqrt(plan_cost(plan, q, p)), barycentric_map(plan, q, p).images
-
-    threads = check_threads(threads)
-    if threads > 1 and len(indices) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(term, indices))
-    return [term(i) for i in indices]
 
 
 def _wsd_direct(
@@ -233,21 +227,43 @@ def _wsd_direct(
     if not indices:
         raise EmptyPopulation("population is empty after exclusion")
     _check_population(q, pop)
-    terms = _direct_terms(q, pop, indices, threads)
-    return _wsd(q, terms, len(indices), single_member_rule)
+
+    def field(i: int) -> Optional[np.ndarray]:
+        p = pop[i]
+        plan = solve_ot(q, p)
+        cost = plan_cost(plan, q, p)
+        return _unit_field(q.points, cost, barycentric_map(plan, q, p).images)
+
+    acc = _NeumaierSum((q.m, q.d))
+    for f in ordered_map(field, indices, check_threads(threads)):
+        if f is not None:
+            acc.add(f)
+    return _wsd(q, acc, len(indices), single_member_rule)
+
+
+def _pair_fields(plan: Coupling, cost: float, a: Cloud, b: Cloud):
+    """Unit fields of a pair, ``a`` towards ``b`` and ``b`` towards ``a``."""
+    return (
+        _unit_field(a.points, cost, barycentric_map(plan, a, b).images),
+        _unit_field(b.points, cost, barycentric_map(plan.transpose(), b, a).images),
+    )
 
 
 def _wsd_loo(clouds: list[Cloud], threads: int, single_member_rule: bool) -> np.ndarray:
-    """Depth of every cloud against the rest, each pair solved once."""
-    cache = PairwiseTransport(clouds, threads=threads)
-    cache.precompute()
-    n = len(clouds)
-    values = np.empty(n)
-    for qi in range(n):
-        rest = _others(n, qi)
-        terms = ((cache.w2(qi, i), cache.images(qi, i)) for i in rest)
-        values[qi] = _wsd(cache.cloud(qi), terms, len(rest), single_member_rule)
-    return values
+    """Depth of every cloud against the rest, each pair solved once.
+
+    The sweep is row-major, so each cloud receives its fields in ascending
+    index order, as a direct call would add them.
+    """
+    accs = [_NeumaierSum((c.m, c.d)) for c in clouds]
+    for i, j, fields in pair_sweep(clouds, _pair_fields, threads=threads):
+        for k, f in zip((i, j), fields):
+            if f is not None:
+                accs[k].add(f)
+    count = len(clouds) - 1
+    return np.array(
+        [_wsd(c, acc, count, single_member_rule) for c, acc in zip(clouds, accs)]
+    )
 
 
 def wsd_empirical(
@@ -291,8 +307,8 @@ def wsd_all(
 ) -> DepthReport:
     """Leave-one-out spatial depth of every cloud in a collection.
 
-    Pairwise plans are solved once per unordered pair and shared; the value
-    for each cloud matches an individual :func:`wsd_empirical` call with
+    Each unordered pair is solved once and its plan serves both clouds; the
+    value for each cloud matches an individual :func:`wsd_empirical` call with
     ``exclude`` set.
 
     Raises:

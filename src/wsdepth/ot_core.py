@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional, Sequence
+from functools import cached_property, partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -47,7 +47,8 @@ __all__ = [
     "w2_squared",
     "barycentric_map",
     "w2_matrix",
-    "PairwiseTransport",
+    "pair_sweep",
+    "ordered_map",
     "cost_matrix",
     "check_threads",
 ]
@@ -538,95 +539,70 @@ def check_threads(threads: int) -> int:
     return int(threads)
 
 
+def ordered_map(fn: Callable, items: Sequence, threads: int) -> list:
+    """``[fn(x) for x in items]``, computed by up to ``threads`` workers.
+
+    Results keep the order of ``items`` for any thread count.
+    """
+    if threads > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
+def pair_sweep(clouds: Sequence[Cloud], step: Callable, *, threads: int = 1):
+    """Solve every unordered pair of clouds once, row by row.
+
+    Yields ``(i, j, step(plan, cost, clouds[i], clouds[j]))`` for ``i < j``
+    in row-major order, where ``plan`` is the optimal plan from cloud ``i``
+    to cloud ``j`` and ``cost`` its squared ``w2``.  The pairs of one row
+    are solved by up to ``threads`` workers; only ``step``'s results are
+    kept, and only until the row has been yielded.  Every value is
+    independent of the thread count.
+
+    Raises:
+        InvalidParameter: ``threads < 1``, before any solve.
+        DimensionMismatch: clouds of different dimensions, before any solve.
+        WsdError: a solve or ``step`` failed, with the pair named; a
+            ``WsdError`` keeps its type, any other exception becomes a
+            ``NumericalError``.
+    """
+    clouds = list(clouds)
+    threads = check_threads(threads)
+    for k, c in enumerate(clouds):
+        if c.d != clouds[0].d:
+            raise DimensionMismatch(
+                f"cloud 0 has d={clouds[0].d} but cloud {k} has d={c.d}"
+            )
+
+    def pair(i: int, j: int):
+        a, b = clouds[i], clouds[j]
+        try:
+            plan = solve_ot(a, b)
+            return step(plan, plan_cost(plan, a, b), a, b)
+        except WsdError as exc:
+            raise type(exc)(f"clouds ({i}, {j}): {exc}") from exc
+        except Exception as exc:  # foreign, e.g. SciPy on overflowed costs
+            raise NumericalError(f"clouds ({i}, {j}): {exc}") from exc
+
+    for i in range(len(clouds)):
+        row = range(i + 1, len(clouds))
+        for j, out in zip(row, ordered_map(partial(pair, i), row, threads)):
+            yield i, j, out
+
+
+def _cost(plan: Coupling, cost: float, a: Cloud, b: Cloud) -> float:
+    return cost
+
+
 def w2_matrix(clouds: Sequence[Cloud], *, threads: int = 1) -> np.ndarray:
     """Symmetric matrix of pairwise ``w2`` values, each pair solved once.
 
-    Unordered pairs may be evaluated in parallel; every entry is produced by
-    an independent solve, so the result is identical for any thread count.
+    Only distances are kept: each plan is dropped once its cost is known.
+    The result is identical for any thread count.
     """
-    cache = PairwiseTransport(clouds, threads=threads)
-    cache.precompute()
-    return cache.matrix()
-
-
-class PairwiseTransport:
-    """Cache of pairwise plans and distances over a fixed list of clouds.
-
-    Each unordered pair ``(i, j)`` with ``i < j`` is solved once; oriented
-    plans and barycentric images for ``(j, i)`` are derived by transposition.
-    ``w2`` values come from an fsum of the plan's entry costs and therefore
-    do not depend on orientation.
-    """
-
-    def __init__(self, clouds: Sequence[Cloud], *, threads: int = 1) -> None:
-        self._clouds = list(clouds)
-        self._threads = check_threads(threads)
-        d0 = self._clouds[0].d if self._clouds else 0
-        for k, c in enumerate(self._clouds):
-            if c.d != d0:
-                raise DimensionMismatch(
-                    f"cloud 0 has d={d0} but cloud {k} has d={c.d}"
-                )
-        self._store: dict[tuple[int, int], tuple[Coupling, float]] = {}
-
-    def __len__(self) -> int:
-        return len(self._clouds)
-
-    def cloud(self, i: int) -> Cloud:
-        return self._clouds[i]
-
-    def _solve_pair(self, i: int, j: int) -> tuple[Coupling, float]:
-        key = (i, j) if i < j else (j, i)
-        hit = self._store.get(key)
-        if hit is None:
-            lo, hi = key
-            try:
-                plan = solve_ot(self._clouds[lo], self._clouds[hi])
-                cost = plan_cost(plan, self._clouds[lo], self._clouds[hi])
-            except WsdError as exc:
-                raise type(exc)(f"clouds ({lo}, {hi}): {exc}") from exc
-            except Exception as exc:  # foreign, e.g. SciPy on overflowed costs
-                raise NumericalError(f"clouds ({lo}, {hi}): {exc}") from exc
-            hit = (plan, cost)
-            self._store[key] = hit
-        return hit
-
-    def precompute(self) -> None:
-        pairs = [
-            (i, j)
-            for i in range(len(self._clouds))
-            for j in range(i + 1, len(self._clouds))
-        ]
-        if self._threads > 1 and len(pairs) > 1:
-            with ThreadPoolExecutor(max_workers=self._threads) as pool:
-                list(pool.map(lambda p: self._solve_pair(*p), pairs))
-        else:
-            for i, j in pairs:
-                self._solve_pair(i, j)
-
-    def w2_squared(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        return self._solve_pair(i, j)[1]
-
-    def w2(self, i: int, j: int) -> float:
-        return math.sqrt(self.w2_squared(i, j))
-
-    def plan(self, i: int, j: int) -> Coupling:
-        """Plan oriented from cloud ``i`` to cloud ``j``."""
-        stored = self._solve_pair(i, j)[0]
-        return stored if i < j else stored.transpose()
-
-    def images(self, i: int, j: int) -> np.ndarray:
-        """Barycentric images of cloud ``i``'s atoms under the plan to ``j``."""
-        return barycentric_map(
-            self.plan(i, j), self._clouds[i], self._clouds[j]
-        ).images
-
-    def matrix(self) -> np.ndarray:
-        n = len(self._clouds)
-        out = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                out[i, j] = out[j, i] = self.w2(i, j)
-        return out
+    clouds = list(clouds)
+    out = np.zeros((len(clouds), len(clouds)))
+    for i, j, cost in pair_sweep(clouds, _cost, threads=threads):
+        out[i, j] = out[j, i] = math.sqrt(cost)
+    return out

@@ -150,6 +150,27 @@ def test_cmd_depth_missing_file_is_ingest_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "content, where",
+    [
+        (b"group,x0\na,0\n\xff\xfe,1\nb,2\n", "bad.csv: "),
+        (b"group,x0\na,0\n" + b"b" * 140_000 + b",1\n", "bad.csv:3: "),
+    ],
+    ids=["undecodable-bytes", "oversized-field"],
+)
+def test_cmd_depth_unreadable_csv_is_ingest_error(content, where, tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    code = main(
+        ["depth", "--input", str(path), "--group-col", "group", "--out",
+         str(tmp_path / "x.jsonl")]
+    )
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert where in lines[0]
+
+
 def test_cmd_depth_numerical_error_exit_code(tmp_path, capsys):
     path = write(tmp_path / "two.csv", "group,x0\na,0\nb,5\n")
     code = main(

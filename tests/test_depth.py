@@ -1,5 +1,6 @@
 """Depth functions: examples, independent oracles, and axioms."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,10 +99,43 @@ def test_wsd_all_matches_individual_calls_bitwise(rng):
 
 
 def test_wsd_all_threaded_is_bit_identical(rng):
-    clouds = [make_cloud(rng, 6, 3) for _ in range(5)]
-    np.testing.assert_array_equal(
-        wsd_all(clouds, threads=1).values, wsd_all(clouds, threads=4).values
-    )
+    # every solver path of the pair sweep: assignment, LP (ragged sizes),
+    # replicated assignment (sizes that divide), 1-D weighted, point masses
+    # and duplicated points
+    dup = rng.normal(size=(3, 2))
+    collections = {
+        "equal": [make_cloud(rng, 6, 3) for _ in range(5)],
+        "ragged": [make_cloud(rng, 4 + k, 2) for k in range(5)],
+        "replicated": [make_cloud(rng, 3 * (1 + k % 2), 2) for k in range(5)],
+        "1-D weighted": [
+            make_cloud(rng, 5 + k % 2, 1, uniform=False) for k in range(5)
+        ],
+        "point masses": [make_cloud(rng, 1 if k % 2 else 4, 2) for k in range(5)],
+        "duplicated": [Cloud(np.vstack([dup, dup[:2]]) + k) for k in range(5)],
+    }
+    for name, clouds in collections.items():
+        for method in ("wsd", "wsd_discrete"):
+            serial = compute_depths(clouds, method, threads=1).values
+            for threads in (2, 3):
+                np.testing.assert_array_equal(
+                    compute_depths(clouds, method, threads=threads).values,
+                    serial,
+                    err_msg=f"{name}, {method}, threads={threads}",
+                )
+
+
+@pytest.mark.parametrize("method", ["wsd", "lens"])
+def test_leave_one_out_keeps_no_plan_past_its_row(method, rng):
+    # 80 clouds give 3160 plans; kept, they would take several MiB
+    clouds = [make_cloud(rng, 20, 2) for _ in range(80)]
+    compute_depths(clouds[:3], method)  # first-call allocations
+    tracemalloc.start()
+    try:
+        compute_depths(clouds, method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_population_permutation_equivariance(rng):

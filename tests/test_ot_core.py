@@ -16,7 +16,6 @@ from wsdepth import (
     InvalidParameter,
     MarginalMismatch,
     NumericalError,
-    PairwiseTransport,
     barycentric_map,
     solve_ot,
     w2,
@@ -25,6 +24,7 @@ from wsdepth import (
     wsd_all,
     wsd_empirical,
 )
+import wsdepth.depth
 import wsdepth.ot_core
 from wsdepth.ot_core import cost_matrix, plan_cost
 
@@ -328,19 +328,6 @@ def test_w2_matrix_parallel_is_bit_identical(rng):
     )
 
 
-def test_pairwise_cache_images_match_direct_solves(rng):
-    clouds = [make_cloud(rng, 6, 2) for _ in range(4)]
-    cache = PairwiseTransport(clouds)
-    for qi in range(4):
-        for i in range(4):
-            if i == qi:
-                continue
-            plan = solve_ot(clouds[qi], clouds[i])
-            direct = barycentric_map(plan, clouds[qi], clouds[i]).images
-            np.testing.assert_array_equal(cache.images(qi, i), direct)
-            assert cache.w2(qi, i) == math.sqrt(plan_cost(plan, clouds[qi], clouds[i]))
-
-
 def test_w2_matrix_identifies_offending_pair(rng):
     good = make_cloud(rng, 3, 2)
     other = make_cloud(rng, 3, 3)
@@ -365,21 +352,33 @@ class _ForeignFailure(Exception):
     ],
 )
 def test_pair_failures_are_typed_and_name_the_pair(raised, expected, rng, monkeypatch):
-    def fail(a, b):
+    def fail(*args):
         raise raised
 
-    monkeypatch.setattr(wsdepth.ot_core, "solve_ot", fail)
     clouds = [make_cloud(rng, 3, 2) for _ in range(3)]
-    with pytest.raises(expected, match=r"^clouds \(0, 1\): ") as info:
-        PairwiseTransport(clouds).precompute()
-    assert str(raised) in str(info.value)
+    # the solve under w2_matrix, and the image step of the leave-one-out
+    # sweep, which runs after the pair's solve and cost
+    for module, name, run in [
+        (wsdepth.ot_core, "solve_ot", w2_matrix),
+        (wsdepth.depth, "barycentric_map", wsd_all),
+    ]:
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, fail)
+            with pytest.raises(expected, match=r"^clouds \(0, 1\): ") as info:
+                run(clouds)
+        assert str(raised) in str(info.value)
 
 
-def test_pairwise_cache_rejects_nonpositive_threads(rng):
+def test_pair_sweep_rejects_nonpositive_threads(rng, monkeypatch):
+    def refuse(a, b):
+        raise AssertionError("a transport plan was solved")
+
+    monkeypatch.setattr(wsdepth.ot_core, "solve_ot", refuse)
     clouds = [make_cloud(rng, 3, 2) for _ in range(3)]
     for threads in (0, -3):
-        with pytest.raises(InvalidParameter):
-            PairwiseTransport(clouds, threads=threads)
+        for run in (w2_matrix, wsd_all):
+            with pytest.raises(InvalidParameter):
+                run(clouds, threads=threads)
 
 
 # ---------------------------------------------------------------------------
