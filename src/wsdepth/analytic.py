@@ -1,98 +1,34 @@
 """Closed-form transport maps, distances, and depth values for parametric families.
 
 These are the oracles the simulation harnesses check the empirical machinery
-against: the quantile reduction in one dimension, the Gaussian closed form
-built from covariance square roots, four analytic depth values for specific
-parametric populations, and the plain Euclidean spatial depth that location
-families reduce to.
+against: the Gaussian closed form built from covariance square roots, the
+closed-form depth of each consistency case as a function of its generating
+parameter, and the plain Euclidean spatial depth that location families
+reduce to.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidParameter,
-    LengthMismatch,
-    NotSPD,
-    UnsupportedPairing,
-)
-from .ot_core import Cloud, TransportMap
+from .errors import DimensionMismatch, InvalidParameter, NotSPD, UnsupportedPairing
 
 __all__ = [
-    "Exponential",
-    "Weibull",
-    "GaussianIso",
     "Gaussian",
-    "UniformCube",
-    "UniformInterval",
-    "Laplace",
-    "AnalyticPopulation",
     "FOUR_CENTERS",
     "GaussianMapParts",
-    "quantile_map_1d",
     "gaussian_ot",
-    "analytic_wsd",
+    "exponential_rate_depth",
+    "weibull_shape_depth",
+    "four_center_depth",
+    "cube_side_depth",
     "euclid_spatial_depth",
 ]
 
 # Relative eigenvalue floor below which a covariance counts as singular.
 _SPD_FLOOR = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# family specifications
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Exponential:
-    """Exponential distribution with the given rate."""
-
-    rate: float
-
-    def __post_init__(self) -> None:
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise InvalidParameter(f"exponential rate must be > 0, got {self.rate}")
-
-
-@dataclass(frozen=True)
-class Weibull:
-    """Weibull distribution with unit scale; shape restricted to 1 or 2."""
-
-    shape: int
-    scale: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.shape not in (1, 2):
-            raise InvalidParameter(f"weibull shape must be 1 or 2, got {self.shape}")
-        if self.scale != 1.0:
-            raise InvalidParameter("weibull scale is fixed at 1")
-
-
-@dataclass(frozen=True)
-class GaussianIso:
-    """Isotropic Gaussian: center plus a single standard deviation."""
-
-    center: tuple
-    sd: float = 1.0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if not (self.sd > 0 and math.isfinite(self.sd)):
-            raise InvalidParameter(f"sd must be > 0, got {self.sd}")
-
-    @property
-    def mean(self) -> np.ndarray:
-        return np.asarray(self.center)
-
-    @property
-    def cov(self) -> np.ndarray:
-        return self.sd**2 * np.eye(len(self.center))
 
 
 @dataclass(frozen=True)
@@ -117,55 +53,6 @@ class Gaussian:
         object.__setattr__(self, "cov", cov)
 
 
-@dataclass(frozen=True)
-class UniformCube:
-    """Uniform distribution on the cube ``[0, side]^dim``."""
-
-    side: float
-    dim: int = 2
-
-    def __post_init__(self) -> None:
-        if not (self.side > 0 and math.isfinite(self.side)):
-            raise InvalidParameter(f"cube side must be > 0, got {self.side}")
-        if self.dim < 1:
-            raise InvalidParameter("cube dimension must be >= 1")
-
-
-@dataclass(frozen=True)
-class UniformInterval:
-    """Product of ``dim`` independent ``Uniform([0, upper])`` factors."""
-
-    upper: float
-    dim: int = 1
-
-    def __post_init__(self) -> None:
-        if not (self.upper > 0 and math.isfinite(self.upper)):
-            raise InvalidParameter(f"upper bound must be > 0, got {self.upper}")
-        if self.dim < 1:
-            raise InvalidParameter("dimension must be >= 1")
-
-
-@dataclass(frozen=True)
-class Laplace:
-    """Double exponential with unit rate and the given location."""
-
-    location: float
-    rate: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.rate != 1.0:
-            raise InvalidParameter("laplace rate is fixed at 1")
-
-
-class AnalyticPopulation(Enum):
-    """Populations of distributions with a known closed-form depth."""
-
-    EXPONENTIAL_BETA_RATE = "exponential_beta_rate"
-    WEIBULL_UNIFORM_SHAPE = "weibull_uniform_shape"
-    GAUSSIAN_FOUR_CENTERS = "gaussian_four_centers"
-    CUBE_UNIFORM_SIDE = "cube_uniform_side"
-
-
 FOUR_CENTERS: tuple[tuple[float, float], ...] = (
     (1.0, 0.0),
     (-1.0, 0.0),
@@ -177,25 +64,6 @@ FOUR_CENTERS: tuple[tuple[float, float], ...] = (
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-
-def quantile_map_1d(q_sorted, p_sorted) -> TransportMap:
-    """Monotone map between two sorted samples: i-th order statistic to i-th.
-
-    Raises:
-        LengthMismatch: the vectors have different lengths.
-        InvalidParameter: either vector is not sorted ascending.
-    """
-    q = np.asarray(q_sorted, dtype=np.float64).reshape(-1)
-    p = np.asarray(p_sorted, dtype=np.float64).reshape(-1)
-    if q.shape[0] != p.shape[0]:
-        raise LengthMismatch(f"lengths differ: {q.shape[0]} vs {p.shape[0]}")
-    if (np.diff(q) < 0).any() or (np.diff(p) < 0).any():
-        raise InvalidParameter("inputs must be sorted ascending")
-    source = Cloud(q.reshape(-1, 1))
-    images = p.reshape(-1, 1).copy()
-    images.setflags(write=False)
-    return TransportMap(images=images, source=source)
 
 
 def _spd_sqrt_pair(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,15 +98,7 @@ class GaussianMapParts:
         return self.mu_p + (x - self.mu_q) @ self.matrix.T
 
 
-def _as_gaussian(g) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(g, GaussianIso):
-        return g.mean, g.cov
-    if isinstance(g, Gaussian):
-        return g.mean, g.cov
-    raise InvalidParameter(f"expected a Gaussian family member, got {type(g).__name__}")
-
-
-def gaussian_ot(q, p) -> tuple[GaussianMapParts, float]:
+def gaussian_ot(q: Gaussian, p: Gaussian) -> tuple[GaussianMapParts, float]:
     """Closed-form optimal map and distance between two Gaussians.
 
     The map matrix is ``Sq^{-1/2} (Sq^{1/2} Sp Sq^{1/2})^{1/2} Sq^{-1/2}``
@@ -248,8 +108,8 @@ def gaussian_ot(q, p) -> tuple[GaussianMapParts, float]:
     Raises:
         NotSPD: a covariance has an eigenvalue at or below ``1e-12 * trace``.
     """
-    mu_q, cov_q = _as_gaussian(q)
-    mu_p, cov_p = _as_gaussian(p)
+    mu_q, cov_q = q.mean, q.cov
+    mu_p, cov_p = p.mean, p.cov
     if mu_q.shape != mu_p.shape:
         raise DimensionMismatch(
             f"gaussians live in different dimensions: {mu_q.shape[0]} vs {mu_p.shape[0]}"
@@ -275,57 +135,42 @@ def gaussian_ot(q, p) -> tuple[GaussianMapParts, float]:
     return GaussianMapParts(matrix=a, mu_q=mu_q, mu_p=mu_p), math.sqrt(max(dist_sq, 0.0))
 
 
-def analytic_wsd(q, population: AnalyticPopulation) -> float:
-    """Closed-form depth of ``q`` within one of the four supported populations.
+# ---------------------------------------------------------------------------
+# closed-form depths of the consistency populations, each a function of the
+# query's generating parameter; off its domain it raises UnsupportedPairing
+# ---------------------------------------------------------------------------
 
-    Supported pairings and values:
 
-    * ``Exponential(rate)`` against rates drawn from ``Beta(2, 2)``, for
-      rates in ``(0, 1]``: ``1 - |1 + 4 r^3 - 6 r^2|``;
-    * ``Weibull(shape)`` against shapes uniform on ``{1, 2}``: ``1/2``;
-    * ``GaussianIso`` with unit sd at one of the four unit-axis centers
-      against that four-center family: ``(3 - sqrt(2)) / 4``;
-    * ``UniformCube(side, dim=2)`` against sides uniform on ``[1, 2]``, for
-      sides in ``[1, 2]``: ``1 - |2 c - 3|``.
+def exponential_rate_depth(rate: float) -> float:
+    """``Exponential(rate)`` against rates drawn from ``Beta(2, 2)``, for rates
+    in ``(0, 1]``: ``1 - |1 + 4 r^3 - 6 r^2|``."""
+    if not 0.0 < rate <= 1.0:
+        raise UnsupportedPairing(f"rate {rate} outside (0, 1]")
+    return 1.0 - abs(1.0 + 4.0 * rate**3 - 6.0 * rate**2)
 
-    Raises:
-        UnsupportedPairing: any other combination or out-of-domain parameter.
-    """
-    if population is AnalyticPopulation.EXPONENTIAL_BETA_RATE:
-        if not isinstance(q, Exponential):
-            raise UnsupportedPairing(f"{type(q).__name__} vs {population.value}")
-        r = q.rate
-        if not 0.0 < r <= 1.0:
-            raise UnsupportedPairing(f"rate {r} outside (0, 1]")
-        return 1.0 - abs(1.0 + 4.0 * r**3 - 6.0 * r**2)
 
-    if population is AnalyticPopulation.WEIBULL_UNIFORM_SHAPE:
-        if not isinstance(q, Weibull):
-            raise UnsupportedPairing(f"{type(q).__name__} vs {population.value}")
-        return 0.5
+def weibull_shape_depth(shape: float) -> float:
+    """``Weibull(shape)`` with unit scale against shapes uniform on ``{1, 2}``:
+    ``1/2``."""
+    if shape not in (1, 2):
+        raise UnsupportedPairing(f"weibull shape {shape} is not 1 or 2")
+    return 0.5
 
-    if population is AnalyticPopulation.GAUSSIAN_FOUR_CENTERS:
-        if not isinstance(q, GaussianIso):
-            raise UnsupportedPairing(f"{type(q).__name__} vs {population.value}")
-        if len(q.center) != 2 or abs(q.sd - 1.0) > 1e-12:
-            raise UnsupportedPairing("four-center family needs 2-D unit-sd gaussians")
-        center = np.asarray(q.center)
-        if not any(
-            np.abs(center - np.asarray(c)).max() <= 1e-12 for c in FOUR_CENTERS
-        ):
-            raise UnsupportedPairing(f"center {q.center} is not one of the four")
-        return (3.0 - math.sqrt(2.0)) / 4.0
 
-    if population is AnalyticPopulation.CUBE_UNIFORM_SIDE:
-        if not isinstance(q, UniformCube):
-            raise UnsupportedPairing(f"{type(q).__name__} vs {population.value}")
-        if q.dim != 2 or not 1.0 <= q.side <= 2.0:
-            raise UnsupportedPairing(
-                f"cube family needs dim 2 and side in [1, 2], got {q}"
-            )
-        return 1.0 - abs(2.0 * q.side - 3.0)
+def four_center_depth(index: float) -> float:
+    """The unit-sd Gaussian at ``FOUR_CENTERS[index]`` against that
+    four-center family: ``(3 - sqrt(2)) / 4``."""
+    if index not in range(len(FOUR_CENTERS)):
+        raise UnsupportedPairing(f"center index {index} is not one of 0, 1, 2, 3")
+    return (3.0 - math.sqrt(2.0)) / 4.0
 
-    raise UnsupportedPairing(f"unknown population {population!r}")
+
+def cube_side_depth(side: float) -> float:
+    """Uniform on ``[0, side]^2`` against sides uniform on ``[1, 2]``, for
+    sides in ``[1, 2]``: ``1 - |2 c - 3|``."""
+    if not 1.0 <= side <= 2.0:
+        raise UnsupportedPairing(f"cube side {side} outside [1, 2]")
+    return 1.0 - abs(2.0 * side - 3.0)
 
 
 def euclid_spatial_depth(x, points) -> float:

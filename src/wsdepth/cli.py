@@ -77,6 +77,12 @@ class IngestManifest:
     delimiter: str = ","
     has_header: bool = True
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
+            raise InvalidParameter(
+                f"delimiter must be one character, got {self.delimiter!r}"
+            )
+
 
 def _resolve_columns(manifest: IngestManifest, first_row: list) -> tuple[int, list]:
     if manifest.has_header:
@@ -196,15 +202,18 @@ def _cmd_depth(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    manifest = IngestManifest(
-        path=args.input,
-        group_col=args.group_col,
-        coord_cols=tuple(args.coord_cols.split(",")) if args.coord_cols else None,
-        delimiter=args.delimiter,
-        has_header=not args.no_header,
-    )
     try:
+        manifest = IngestManifest(
+            path=args.input,
+            group_col=args.group_col,
+            coord_cols=tuple(args.coord_cols.split(",")) if args.coord_cols else None,
+            delimiter=args.delimiter,
+            has_header=not args.no_header,
+        )
         named = ingest(manifest)
+    except InvalidParameter as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ParseError, EmptyGroup, NonFiniteValue, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INGEST

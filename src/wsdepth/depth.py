@@ -232,7 +232,7 @@ def _wsd_direct(
         p = pop[i]
         plan = solve_ot(q, p)
         cost = plan_cost(plan, q, p)
-        return _unit_field(q.points, cost, barycentric_map(plan, q, p).images)
+        return _unit_field(q.points, cost, barycentric_map(plan, q, p))
 
     acc = _NeumaierSum((q.m, q.d))
     for f in ordered_map(field, indices, check_threads(threads)):
@@ -244,8 +244,8 @@ def _wsd_direct(
 def _pair_fields(plan: Coupling, cost: float, a: Cloud, b: Cloud):
     """Unit fields of a pair, ``a`` towards ``b`` and ``b`` towards ``a``."""
     return (
-        _unit_field(a.points, cost, barycentric_map(plan, a, b).images),
-        _unit_field(b.points, cost, barycentric_map(plan.transpose(), b, a).images),
+        _unit_field(a.points, cost, barycentric_map(plan, a, b)),
+        _unit_field(b.points, cost, barycentric_map(plan.transpose(), b, a)),
     )
 
 

@@ -18,10 +18,6 @@ class DimensionMismatch(WsdError):
     """Operands live in different ambient dimensions."""
 
 
-class LengthMismatch(WsdError):
-    """Paired vectors have different lengths."""
-
-
 class MarginalMismatch(WsdError):
     """A transport plan's marginals disagree with the cloud weights."""
 

@@ -41,7 +41,6 @@ from .errors import (
 __all__ = [
     "Cloud",
     "Coupling",
-    "TransportMap",
     "solve_ot",
     "w2",
     "w2_squared",
@@ -239,19 +238,6 @@ class Coupling:
         return Coupling.from_arrays(
             self.cols, self.rows, self.mass, self.target_size, self.source_size
         )
-
-
-@dataclass(frozen=True, eq=False)
-class TransportMap:
-    """Per-atom images of a source cloud under a transport plan.
-
-    Row ``i`` is the conditional mean of the target given source atom ``i``
-    (the barycentric projection); under a permutation plan it is exactly the
-    matched target point.
-    """
-
-    images: np.ndarray
-    source: Cloud
 
 
 # ---------------------------------------------------------------------------
@@ -499,11 +485,13 @@ def w2(a: Cloud, b: Cloud) -> float:
     return math.sqrt(w2_squared(a, b))
 
 
-def barycentric_map(plan: Coupling, a: Cloud, b: Cloud) -> TransportMap:
+def barycentric_map(plan: Coupling, a: Cloud, b: Cloud) -> np.ndarray:
     """Barycentric projection of a plan: conditional target means per atom.
 
-    Under a permutation plan the images are read off the target directly so
-    they match the matched points bit for bit.
+    Returns the read-only ``(a.m, d)`` array whose row ``i`` is the mean of
+    the target given source atom ``i``.  Under a permutation plan the images
+    are read off the target directly so they match the matched points bit
+    for bit.
 
     Raises:
         MarginalMismatch: the plan's row sums disagree with ``a.weights``
@@ -525,7 +513,7 @@ def barycentric_map(plan: Coupling, a: Cloud, b: Cloud) -> TransportMap:
         images = np.zeros((a.m, a.d))
         np.add.at(images, plan.rows, plan.mass[:, None] * b.points[plan.cols])
         images /= a.weights[:, None]
-    return TransportMap(images=_freeze(images), source=a)
+    return _freeze(images)
 
 
 def check_threads(threads: int) -> int:

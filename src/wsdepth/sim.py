@@ -256,6 +256,51 @@ def _exotics_case2(d: int) -> list[CloudSpec]:
 
 
 # ---------------------------------------------------------------------------
+# consistency queries: deterministic discretizations at a parameter
+# ---------------------------------------------------------------------------
+
+_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def _square_grid_size(m: int, budget: int = 4) -> Optional[int]:
+    """Smallest g with g*g a multiple of m and at most ``budget * m``."""
+    g = math.isqrt(m)
+    if g * g < m:
+        g += 1
+    while g * g <= budget * m:
+        if (g * g) % m == 0:
+            return g
+        g += 1
+    return None
+
+
+def _unit_square_points(m: int) -> np.ndarray:
+    """Deterministic low-discrepancy points on the unit square.
+
+    A midpoint product grid when one with a size divisible by ``m`` exists
+    (so the transport to m-point clouds stays on the exact assignment path),
+    otherwise a Fibonacci lattice with 2m points.
+    """
+    g = _square_grid_size(m)
+    if g is not None:
+        u = (np.arange(g) + 0.5) / g
+        xx, yy = np.meshgrid(u, u)
+        return np.column_stack([xx.ravel(), yy.ravel()])
+    count = 2 * m
+    j = np.arange(count)
+    u1 = (j + 0.5) / count
+    u2 = (j / _GOLDEN) % 1.0
+    lo = 0.5 / count
+    return np.column_stack([u1, np.clip(u2, lo, 1.0 - lo)])
+
+
+def _exponential_quantiles(m: int) -> np.ndarray:
+    """Unit-rate exponential quantiles at the levels ``(j + 1/2) / m``."""
+    u = (np.arange(m) + 0.5) / m
+    return -np.log(1.0 - u)
+
+
+# ---------------------------------------------------------------------------
 # experiment registry
 # ---------------------------------------------------------------------------
 
@@ -266,18 +311,43 @@ class _Case:
 
     ``d`` is the case's fixed dimension, or None when the configuration
     chooses it; ``planted(d)`` lists the clouds appended to every draw.
+    A consistency case also holds its default query parameters
+    ``queries``, the query discretization ``query(param, m)`` and the
+    closed-form population depth ``depth(param)``, which raises
+    ``UnsupportedPairing`` off the case's parameter domain.
     """
 
     population: Callable[[np.random.Generator, int], CloudSpec]
     d: Optional[int] = None
     planted: Callable[[int], list] = lambda d: []
+    queries: tuple = ()
+    query: Optional[Callable[[float, int], Cloud]] = None
+    depth: Optional[Callable[[float], float]] = None
 
 
 _CASES = {
-    ("consistency", 1): _Case(_exp_beta_rate, d=1),
-    ("consistency", 2): _Case(_weibull_shape, d=1),
-    ("consistency", 3): _Case(_four_center_gaussian, d=2),
-    ("consistency", 4): _Case(_cube_side, d=2),
+    ("consistency", 1): _Case(
+        _exp_beta_rate, d=1, queries=(0.3, 0.5, 0.8),
+        query=lambda rate, m: Cloud(_exponential_quantiles(m) / rate),
+        depth=analytic.exponential_rate_depth,
+    ),
+    ("consistency", 2): _Case(
+        _weibull_shape, d=1, queries=(1.0, 2.0),
+        query=lambda shape, m: Cloud(_exponential_quantiles(m) ** (1.0 / shape)),
+        depth=analytic.weibull_shape_depth,
+    ),
+    ("consistency", 3): _Case(
+        _four_center_gaussian, d=2, queries=(0.0, 1.0, 2.0, 3.0),
+        query=lambda index, m: Cloud(
+            ndtri(_unit_square_points(m)) + np.asarray(analytic.FOUR_CENTERS[int(index)])
+        ),
+        depth=analytic.four_center_depth,
+    ),
+    ("consistency", 4): _Case(
+        _cube_side, d=2, queries=(1.2, 1.5, 1.8),
+        query=lambda side, m: Cloud(side * _unit_square_points(m)),
+        depth=analytic.cube_side_depth,
+    ),
     ("location_equivalence", 1): _Case(_gaussian_location),
     ("location_equivalence", 2): _Case(partial(_gaussian_location, rho=0.2)),
     ("location_equivalence", 3): _Case(_cube_location),
@@ -327,6 +397,8 @@ class ExperimentConfig:
             raise InvalidParameter(f"n must be >= {min_n}, got {self.n}")
         if self.m < 1:
             raise InvalidParameter(f"m must be >= 1, got {self.m}")
+        if self.d is not None and self.d < 1:
+            raise InvalidParameter(f"d must be >= 1, got {self.d}")
         if self.repetitions < 1:
             raise InvalidParameter(
                 f"repetitions must be >= 1, got {self.repetitions}"
@@ -348,6 +420,14 @@ class ExperimentConfig:
         if fixed is not None:
             return fixed
         return self.d if self.d is not None else _DEFAULT_D
+
+
+def _check_experiment(config: ExperimentConfig, experiment: str) -> None:
+    """Refuse, before any sampling, a configuration of another experiment."""
+    if config.experiment != experiment:
+        raise InvalidParameter(
+            f"the {experiment} runner got a {config.experiment!r} configuration"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +462,13 @@ class DataArray:
 
 
 def sample_two_stage(config: ExperimentConfig, rep: int = 0) -> DataArray:
-    """Draw ``n`` population clouds of ``m`` points for one repetition."""
+    """Draw ``n`` population clouds of ``m`` points for one repetition.
+
+    Raises:
+        InvalidParameter: ``rep < 0``.
+    """
+    if rep < 0:
+        raise InvalidParameter(f"repetition must be >= 0, got {rep}")
     population = _CASES[config.experiment, config.case].population
     d = config.resolved_d
     clouds = []
@@ -421,53 +507,11 @@ def sample_experiment(config: ExperimentConfig, rep: int = 0) -> list[Cloud]:
 # consistency experiment
 # ---------------------------------------------------------------------------
 
-_DEFAULT_QUERIES = {
-    1: (0.3, 0.5, 0.8),
-    2: (1.0, 2.0),
-    3: (0.0, 1.0, 2.0, 3.0),
-    4: (1.2, 1.5, 1.8),
-}
-
-_ANALYTIC_POPULATIONS = {
-    1: analytic.AnalyticPopulation.EXPONENTIAL_BETA_RATE,
-    2: analytic.AnalyticPopulation.WEIBULL_UNIFORM_SHAPE,
-    3: analytic.AnalyticPopulation.GAUSSIAN_FOUR_CENTERS,
-    4: analytic.AnalyticPopulation.CUBE_UNIFORM_SIDE,
-}
-
-_GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-
-
-def _square_grid_size(m: int, budget: int = 4) -> Optional[int]:
-    """Smallest g with g*g a multiple of m and at most ``budget * m``."""
-    g = math.isqrt(m)
-    if g * g < m:
-        g += 1
-    while g * g <= budget * m:
-        if (g * g) % m == 0:
-            return g
-        g += 1
-    return None
-
-
-def _unit_square_points(m: int) -> np.ndarray:
-    """Deterministic low-discrepancy points on the unit square.
-
-    A midpoint product grid when one with a size divisible by ``m`` exists
-    (so the transport to m-point clouds stays on the exact assignment path),
-    otherwise a Fibonacci lattice with 2m points.
-    """
-    g = _square_grid_size(m)
-    if g is not None:
-        u = (np.arange(g) + 0.5) / g
-        xx, yy = np.meshgrid(u, u)
-        return np.column_stack([xx.ravel(), yy.ravel()])
-    count = 2 * m
-    j = np.arange(count)
-    u1 = (j + 0.5) / count
-    u2 = (j / _GOLDEN) % 1.0
-    lo = 0.5 / count
-    return np.column_stack([u1, np.clip(u2, lo, 1.0 - lo)])
+def _consistency_case(case: int) -> _Case:
+    try:
+        return _CASES["consistency", case]
+    except KeyError:
+        raise InvalidParameter(f"consistency has no case {case!r}") from None
 
 
 def query_cloud(case: int, param: float, m: int) -> Cloud:
@@ -479,30 +523,24 @@ def query_cloud(case: int, param: float, m: int) -> Cloud:
     random query sample injects its own noise into every normalized
     displacement field, which biases the depth down by a term that does not
     vanish with the population size.
+
+    Raises:
+        InvalidParameter: ``case`` is not a consistency case.
+        UnsupportedPairing: ``param`` has no closed-form depth in the case.
     """
-    u = (np.arange(m) + 0.5) / m
-    if case == 1:
-        return Cloud(-np.log(1.0 - u) / param)
-    if case == 2:
-        return Cloud((-np.log(1.0 - u)) ** (1.0 / param))
-    if case == 3:
-        base = ndtri(_unit_square_points(m))
-        return Cloud(base + np.asarray(analytic.FOUR_CENTERS[int(param)]))
-    return Cloud(param * _unit_square_points(m))
+    entry = _consistency_case(case)
+    entry.depth(param)  # the case's parameter domain is its closed form's
+    return entry.query(param, m)
 
 
 def analytic_value(case: int, param: float) -> float:
-    """Closed-form depth for a generating parameter of a consistency case."""
-    family: object
-    if case == 1:
-        family = analytic.Exponential(param)
-    elif case == 2:
-        family = analytic.Weibull(int(param))
-    elif case == 3:
-        family = analytic.GaussianIso(analytic.FOUR_CENTERS[int(param)], 1.0)
-    else:
-        family = analytic.UniformCube(param, 2)
-    return analytic.analytic_wsd(family, _ANALYTIC_POPULATIONS[case])
+    """Closed-form depth for a generating parameter of a consistency case.
+
+    Raises:
+        InvalidParameter: ``case`` is not a consistency case.
+        UnsupportedPairing: ``param`` is off the case's parameter domain.
+    """
+    return _consistency_case(case).depth(param)
 
 
 @dataclass(frozen=True)
@@ -533,9 +571,17 @@ def run_consistency(
     to the closed-form value.  With ``include_loo`` the leave-one-out depths
     of the sampled clouds themselves are also measured against the closed
     form at their generating parameters.
+
+    Raises:
+        InvalidParameter: ``config`` belongs to another experiment.
+        UnsupportedPairing: a query parameter has no closed-form depth;
+            raised before anything is sampled or solved.
     """
-    params = tuple(query_params) if query_params is not None else _DEFAULT_QUERIES[config.case]
-    queries = {p: query_cloud(config.case, p, config.m) for p in params}
+    _check_experiment(config, "consistency")
+    entry = _consistency_case(config.case)
+    params = tuple(query_params) if query_params is not None else entry.queries
+    analytic_values = [entry.depth(p) for p in params]
+    queries = {p: entry.query(p, config.m) for p in params}
     depths: dict[float, list[float]] = {p: [] for p in params}
     loo_gaps: list[float] = []
     for rep in range(config.repetitions):
@@ -547,17 +593,15 @@ def run_consistency(
         if include_loo:
             report = wsd_all(data.clouds, threads=config.threads)
             for i, value in enumerate(report.values):
-                loo_gaps.append(
-                    abs(value - analytic_value(config.case, data.params[i]))
-                )
+                loo_gaps.append(abs(value - entry.depth(data.params[i])))
     rows = []
-    for p in params:
+    for p, closed_form in zip(params, analytic_values):
         obs = np.asarray(depths[p])
         sd = float(obs.std(ddof=1)) if obs.size > 1 else 0.0
         rows.append(
             ConsistencyRow(
                 parameter=float(p),
-                analytic=analytic_value(config.case, p),
+                analytic=closed_form,
                 mean_empirical=float(obs.mean()),
                 sd_empirical=sd,
                 repetitions=obs.size,
@@ -582,21 +626,18 @@ class LocationEquivalenceResult:
     config: ExperimentConfig
 
 
-def _location_of(param) -> np.ndarray:
-    if isinstance(param, tuple) and isinstance(param[0], tuple):
-        return np.asarray(param[0])  # (center, scale) pairs
-    return np.atleast_1d(np.asarray(param, dtype=np.float64))
-
-
 def run_location_equivalence(config: ExperimentConfig) -> LocationEquivalenceResult:
     """Compare leave-one-out depth with the spatial depth of the locations."""
+    _check_experiment(config, "location_equivalence")
     gaps = []
     corrs = []
     rows = ()
     for rep in range(config.repetitions):
         data = sample_two_stage(config, rep=rep)
         report = wsd_all(data.clouds, threads=config.threads)
-        locations = np.vstack([_location_of(p) for p in data.params])
+        locations = np.vstack(
+            [np.atleast_1d(np.asarray(p, dtype=np.float64)) for p in data.params]
+        )
         loc_depths = np.array(
             [
                 analytic.euclid_spatial_depth(
@@ -649,6 +690,7 @@ def run_outlier_experiment(config: ExperimentConfig) -> OutlierResult:
     ``k`` smallest depths (``k`` = number planted); flags follow the
     configured quantile threshold.
     """
+    _check_experiment(config, "outliers")
     recoveries = []
     report = None
     planted: tuple = ()
@@ -702,6 +744,7 @@ def run_kernel_comparison(config: ExperimentConfig) -> KernelComparisonResult:
     the summary records how often they occupy the four smallest values under
     each depth.
     """
+    _check_experiment(config, "kernel_comparison")
     if config.n < 1:
         raise EmptyPopulation("kernel comparison needs at least one regular cloud")
     wsd_hits = []

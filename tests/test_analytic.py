@@ -1,72 +1,27 @@
-"""Closed-form oracles: quantile maps, Gaussian transport, analytic depths."""
+"""Closed-form oracles: Gaussian transport, analytic depths, spatial depth."""
 import math
 
 import numpy as np
 import pytest
 
 from wsdepth import (
-    AnalyticPopulation,
     Cloud,
     DimensionMismatch,
-    Exponential,
     FOUR_CENTERS,
     Gaussian,
-    GaussianIso,
     InvalidParameter,
-    Laplace,
-    LengthMismatch,
     NotSPD,
-    UniformCube,
-    UniformInterval,
     UnsupportedPairing,
-    Weibull,
-    analytic_wsd,
+    cube_side_depth,
     euclid_spatial_depth,
+    exponential_rate_depth,
+    four_center_depth,
     gaussian_ot,
-    quantile_map_1d,
     w2,
+    weibull_shape_depth,
 )
 
 THREE_MINUS_ROOT2_OVER_4 = (3.0 - math.sqrt(2.0)) / 4.0
-
-
-# ---------------------------------------------------------------------------
-# quantile map
-# ---------------------------------------------------------------------------
-
-
-def test_quantile_map_identity():
-    q = np.array([0.0, 1.0, 5.0])
-    out = quantile_map_1d(q, q)
-    np.testing.assert_array_equal(out.images[:, 0], q)
-
-
-def test_quantile_map_monotone_example():
-    out = quantile_map_1d([1.0, 2.0, 3.0], [10.0, 20.0, 30.0])
-    np.testing.assert_array_equal(out.images[:, 0], [10.0, 20.0, 30.0])
-
-
-def test_quantile_map_exponential_scaling_is_exact(rng):
-    rate_q, rate = 0.7, 1.4
-    q = np.sort(rng.exponential(1.0 / rate_q, size=50))
-    p = (rate_q / rate) * q
-    out = quantile_map_1d(q, p)
-    np.testing.assert_array_equal(out.images[:, 0], p)
-
-
-def test_quantile_map_round_trip_is_identity(rng):
-    q = np.sort(rng.normal(size=30))
-    p = np.sort(rng.normal(size=30))
-    forward = quantile_map_1d(q, p)
-    back = quantile_map_1d(forward.images[:, 0], q)
-    np.testing.assert_array_equal(back.images[:, 0], q)
-
-
-def test_quantile_map_validation():
-    with pytest.raises(LengthMismatch):
-        quantile_map_1d([1.0, 2.0], [1.0])
-    with pytest.raises(InvalidParameter):
-        quantile_map_1d([2.0, 1.0], [1.0, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +77,9 @@ def test_gaussian_map_pushes_moments(rng):
 
 
 def test_gaussian_ot_accepts_iso_specs():
-    parts, dist = gaussian_ot(GaussianIso((0.0, 0.0), 1.0), GaussianIso((3.0, 4.0), 1.0))
+    parts, dist = gaussian_ot(
+        Gaussian(np.zeros(2), np.eye(2)), Gaussian(np.array([3.0, 4.0]), np.eye(2))
+    )
     assert dist == pytest.approx(5.0, abs=1e-12)
     np.testing.assert_allclose(parts.matrix, np.eye(2), atol=1e-12)
 
@@ -134,7 +91,7 @@ def test_gaussian_ot_rejects_singular_covariance():
     cov = np.array([[1.0, 0.0], [0.0, 9e-13]])
     assert np.linalg.eigvalsh(cov).min() > 0
     with pytest.raises(NotSPD):
-        gaussian_ot(Gaussian(np.zeros(2), cov), GaussianIso((0.0, 0.0), 1.0))
+        gaussian_ot(Gaussian(np.zeros(2), cov), Gaussian(np.zeros(2), np.eye(2)))
 
 
 def test_bures_closed_form_matches_sampled_transport(rng):
@@ -157,80 +114,48 @@ def test_bures_closed_form_matches_sampled_transport(rng):
 
 
 def test_exponential_depth_formula():
-    assert analytic_wsd(
-        Exponential(0.5), AnalyticPopulation.EXPONENTIAL_BETA_RATE
-    ) == pytest.approx(1.0, abs=1e-15)
+    assert exponential_rate_depth(0.5) == pytest.approx(1.0, abs=1e-15)
     for rate in (0.3, 0.8):
         expected = 1.0 - abs(1.0 + 4.0 * rate**3 - 6.0 * rate**2)
-        assert analytic_wsd(
-            Exponential(rate), AnalyticPopulation.EXPONENTIAL_BETA_RATE
-        ) == pytest.approx(expected, abs=1e-15)
+        assert exponential_rate_depth(rate) == pytest.approx(expected, abs=1e-15)
 
 
 def test_weibull_depth_is_half():
     for shape in (1, 2):
-        assert analytic_wsd(
-            Weibull(shape), AnalyticPopulation.WEIBULL_UNIFORM_SHAPE
-        ) == 0.5
+        assert weibull_shape_depth(shape) == 0.5
 
 
 def test_four_center_gaussian_depth():
-    for center in FOUR_CENTERS:
-        assert analytic_wsd(
-            GaussianIso(center, 1.0), AnalyticPopulation.GAUSSIAN_FOUR_CENTERS
-        ) == pytest.approx(THREE_MINUS_ROOT2_OVER_4, abs=1e-15)
+    for index in range(len(FOUR_CENTERS)):
+        assert four_center_depth(float(index)) == pytest.approx(
+            THREE_MINUS_ROOT2_OVER_4, abs=1e-15
+        )
 
 
 def test_cube_depth_formula():
-    pop = AnalyticPopulation.CUBE_UNIFORM_SIDE
-    assert analytic_wsd(UniformCube(1.5, 2), pop) == pytest.approx(1.0, abs=1e-15)
-    assert analytic_wsd(UniformCube(1.0, 2), pop) == pytest.approx(0.0, abs=1e-15)
-    assert analytic_wsd(UniformCube(2.0, 2), pop) == pytest.approx(0.0, abs=1e-15)
+    assert cube_side_depth(1.5) == pytest.approx(1.0, abs=1e-15)
+    assert cube_side_depth(1.0) == pytest.approx(0.0, abs=1e-15)
+    assert cube_side_depth(2.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_analytic_depth_stays_in_unit_interval():
     for rate in np.linspace(0.01, 1.0, 50):
-        v = analytic_wsd(Exponential(rate), AnalyticPopulation.EXPONENTIAL_BETA_RATE)
-        assert 0.0 <= v <= 1.0
+        assert 0.0 <= exponential_rate_depth(rate) <= 1.0
     for side in np.linspace(1.0, 2.0, 50):
-        v = analytic_wsd(UniformCube(side, 2), AnalyticPopulation.CUBE_UNIFORM_SIDE)
-        assert 0.0 <= v <= 1.0
+        assert 0.0 <= cube_side_depth(side) <= 1.0
 
 
 def test_unsupported_pairings_raise():
-    with pytest.raises(UnsupportedPairing):
-        analytic_wsd(Exponential(1.2), AnalyticPopulation.EXPONENTIAL_BETA_RATE)
-    with pytest.raises(UnsupportedPairing):
-        analytic_wsd(Exponential(0.5), AnalyticPopulation.CUBE_UNIFORM_SIDE)
-    with pytest.raises(UnsupportedPairing):
-        analytic_wsd(UniformCube(2.5, 2), AnalyticPopulation.CUBE_UNIFORM_SIDE)
-    with pytest.raises(UnsupportedPairing):
-        analytic_wsd(UniformCube(1.5, 3), AnalyticPopulation.CUBE_UNIFORM_SIDE)
-    with pytest.raises(UnsupportedPairing):
-        analytic_wsd(
-            GaussianIso((0.5, 0.5), 1.0), AnalyticPopulation.GAUSSIAN_FOUR_CENTERS
-        )
-    with pytest.raises(UnsupportedPairing):
-        analytic_wsd(
-            GaussianIso((1.0, 0.0), 2.0), AnalyticPopulation.GAUSSIAN_FOUR_CENTERS
-        )
-
-
-def test_family_parameter_validation():
-    with pytest.raises(InvalidParameter):
-        Exponential(0.0)
-    with pytest.raises(InvalidParameter):
-        Weibull(3)
-    with pytest.raises(InvalidParameter):
-        UniformCube(-1.0, 2)
-    with pytest.raises(InvalidParameter):
-        GaussianIso((0.0,), 0.0)
-    with pytest.raises(InvalidParameter):
-        UniformInterval(0.0, 3)
-    with pytest.raises(InvalidParameter):
-        Laplace(0.0, rate=2.0)
-    assert UniformInterval(1.5, 3).dim == 3
-    assert Laplace(-0.7).location == -0.7
+    off_domain = {
+        exponential_rate_depth: (1.2, 0.0, -0.5, math.nan),
+        weibull_shape_depth: (3, 1.5, 0.0),
+        four_center_depth: (0.5, 4.0, -1.0, math.nan),
+        cube_side_depth: (2.5, -1.0, 0.99, math.inf),
+    }
+    for depth, params in off_domain.items():
+        for param in params:
+            with pytest.raises(UnsupportedPairing):
+                depth(param)
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +185,8 @@ def test_spatial_depth_four_center_value():
 
 def test_spatial_depth_matches_analytic_location_family():
     centers = np.array(FOUR_CENTERS)
-    for c in FOUR_CENTERS:
-        gap = abs(
-            analytic_wsd(GaussianIso(c, 1.0), AnalyticPopulation.GAUSSIAN_FOUR_CENTERS)
-            - euclid_spatial_depth(np.asarray(c), centers)
-        )
+    for index, c in enumerate(centers):
+        gap = abs(four_center_depth(index) - euclid_spatial_depth(c, centers))
         assert gap <= 1e-14
 
 

@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 import wsdepth
-from wsdepth import EmptyGroup, IngestManifest, NonFiniteValue, ParseError, ingest
+from wsdepth import (
+    EmptyGroup,
+    IngestManifest,
+    InvalidParameter,
+    NonFiniteValue,
+    ParseError,
+    ingest,
+)
 from wsdepth.cli import main
 
 
@@ -204,6 +211,23 @@ def test_cmd_depth_bad_parameter_is_configuration_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("delimiter", ["", ";;"], ids=["empty", "two-characters"])
+def test_cmd_depth_rejects_delimiter_not_one_character(
+    delimiter, small_csv, tmp_path, capsys
+):
+    with pytest.raises(InvalidParameter):
+        IngestManifest(path=small_csv, delimiter=delimiter)
+    out = tmp_path / "x.jsonl"
+    code = main(
+        ["depth", "--input", small_csv, "--group-col", "group",
+         "--delimiter", delimiter, "--out", str(out)]
+    )
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out.exists()
+
+
 def test_cmd_depth_overflowing_coordinates_exit_three(tmp_path, capsys, recwarn):
     # squared differences of coordinates near 1e160 overflow to inf; the
     # assignment path rejects the cost matrix before the solver sees it
@@ -388,6 +412,25 @@ def test_cmd_experiment_invalid_config_is_usage_error(tmp_path, capsys):
         ["experiment", "--experiment", "bogus", "--out", str(tmp_path / "x")]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "--experiment", "location_equivalence", "--d", "0",
+         "--n", "4", "--m", "5"],
+        ["sample", "--experiment", "location_equivalence", "--d", "-2"],
+        ["sample", "--experiment", "consistency", "--rep", "-1"],
+    ],
+    ids=["experiment-d-0", "sample-d-negative", "sample-rep-negative"],
+)
+def test_bad_dimension_or_repetition_is_one_error_line(argv, tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main([*argv, "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out.exists()
 
 
 def test_usage_error_exit_code_is_one(capsys):

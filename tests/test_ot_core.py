@@ -263,7 +263,7 @@ def test_dimension_mismatch_raises(rng):
 def test_barycentric_identity(rng):
     a = make_cloud(rng, 5, 2)
     plan = solve_ot(a, a)
-    images = barycentric_map(plan, a, a).images
+    images = barycentric_map(plan, a, a)
     np.testing.assert_array_equal(images, a.points)
 
 
@@ -271,8 +271,9 @@ def test_barycentric_permutation_lookup(rng):
     a = make_cloud(rng, 6, 2)
     b = make_cloud(rng, 6, 2)
     plan = solve_ot(a, b)
-    images = barycentric_map(plan, a, b).images
+    images = barycentric_map(plan, a, b)
     np.testing.assert_array_equal(images, b.points[plan.permutation])
+    assert not images.flags.writeable
 
 
 def test_barycentric_split_atom_conditional_mean():
@@ -282,7 +283,8 @@ def test_barycentric_split_atom_conditional_mean():
         rows=[0, 0, 1], cols=[0, 1, 2], mass=[0.25, 0.25, 0.5],
         source_size=2, target_size=3,
     )
-    images = barycentric_map(plan, a, b).images
+    images = barycentric_map(plan, a, b)
+    assert images.shape == (2, 1) and not images.flags.writeable
     assert images[0, 0] == pytest.approx(0.5, abs=1e-15)
     assert images[1, 0] == pytest.approx(10.0, abs=1e-15)
 

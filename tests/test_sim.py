@@ -2,10 +2,12 @@
 import numpy as np
 import pytest
 
+import wsdepth
 from wsdepth import (
     EmptyPopulation,
     ExperimentConfig,
     InvalidParameter,
+    UnsupportedPairing,
     run_consistency,
     run_kernel_comparison,
     run_location_equivalence,
@@ -14,7 +16,7 @@ from wsdepth import (
     sample_two_stage,
     substream,
 )
-from wsdepth.sim import analytic_value
+from wsdepth.sim import analytic_value, query_cloud
 
 
 def config(**kw):
@@ -47,6 +49,9 @@ def test_config_rejects_bad_values():
         config(threads=0)
     with pytest.raises(InvalidParameter):
         config(d=3)  # case 1 is one-dimensional
+    for d in (0, -2):
+        with pytest.raises(InvalidParameter):
+            config(experiment="location_equivalence", d=d)
 
 
 def test_config_resolves_dimensions():
@@ -87,6 +92,15 @@ def test_repetitions_use_disjoint_streams():
     assert not np.array_equal(rep0.clouds[0].points, rep1.clouds[0].points)
     again = sample_two_stage(cfg, rep=1)
     np.testing.assert_array_equal(rep1.clouds[0].points, again.clouds[0].points)
+
+
+def test_negative_repetition_is_rejected():
+    for experiment in ("consistency", "outliers"):
+        cfg = config(experiment=experiment, n=3, m=4)
+        with pytest.raises(InvalidParameter):
+            sample_two_stage(cfg, rep=-1)
+        with pytest.raises(InvalidParameter):
+            sample_experiment(cfg, rep=-1)
 
 
 def test_substream_is_order_independent():
@@ -293,3 +307,44 @@ def test_analytic_value_matches_case_formulas():
     assert analytic_value(2, 1.0) == 0.5
     assert analytic_value(3, 2.0) == pytest.approx((3 - np.sqrt(2)) / 4)
     assert analytic_value(4, 1.5) == pytest.approx(1.0)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("clouds were sampled or a plan was solved")
+
+
+@pytest.mark.parametrize(
+    "runner, experiment, case",
+    [
+        (run_consistency, "outliers", 1),
+        (run_location_equivalence, "kernel_comparison", 1),
+        (run_outlier_experiment, "consistency", 3),
+        (run_kernel_comparison, "consistency", 3),
+    ],
+    ids=["consistency", "location_equivalence", "outliers", "kernel_comparison"],
+)
+def test_runners_reject_a_config_of_another_experiment(
+    runner, experiment, case, monkeypatch
+):
+    monkeypatch.setattr(wsdepth.sim, "sample_two_stage", _refuse)
+    with pytest.raises(InvalidParameter):
+        runner(config(experiment=experiment, case=case, n=6, m=8))
+
+
+def test_consistency_parameters_are_checked_before_any_solve(monkeypatch):
+    monkeypatch.setattr(wsdepth.sim, "sample_two_stage", _refuse)
+    monkeypatch.setattr(wsdepth.ot_core, "solve_ot", _refuse)
+    monkeypatch.setattr(wsdepth.depth, "solve_ot", _refuse)
+    off_domain = ((1, -1.0), (1, 1.5), (2, 1.5), (3, 0.5), (3, 5.0), (3, -1.0), (4, 2.5))
+    for case, param in off_domain:
+        with pytest.raises(UnsupportedPairing):
+            analytic_value(case, param)
+        with pytest.raises(UnsupportedPairing):
+            query_cloud(case, param, 8)
+        with pytest.raises(UnsupportedPairing):
+            run_consistency(config(case=case, n=4, m=5), query_params=[param])
+    for case in (0, 5):
+        with pytest.raises(InvalidParameter):
+            analytic_value(case, 1.0)
+        with pytest.raises(InvalidParameter):
+            query_cloud(case, 1.0, 8)
