@@ -67,8 +67,8 @@ class IngestManifest:
     """How to read a delimited file into clouds.
 
     ``group_col`` and ``coord_cols`` are column names when the file has a
-    header, otherwise zero-based indices.  ``coord_cols=None`` takes every
-    column except the group column.
+    header, otherwise zero-based indices below the first row's width.
+    ``coord_cols=None`` takes every column except the group column.
     """
 
     path: str
@@ -104,20 +104,25 @@ def _resolve_columns(manifest: IngestManifest, first_row: list) -> tuple[int, li
                     raise ParseError(f"coordinate column {c!r} not in header") from None
     else:
         width = len(first_row)
-        try:
-            group_idx = int(manifest.group_col)
-        except ValueError:
-            raise ParseError(
-                f"without a header the group column must be an index, got"
-                f" {manifest.group_col!r}"
-            ) from None
+
+        def index(value, what: str) -> int:
+            try:
+                i = int(value)
+            except ValueError:
+                raise ParseError(
+                    f"without a header the {what} must be an index, got {value!r}"
+                ) from None
+            if not 0 <= i < width:
+                raise ParseError(
+                    f"{what} index {i} outside the first row's columns 0..{width - 1}"
+                )
+            return i
+
+        group_idx = index(manifest.group_col, "group column")
         if manifest.coord_cols is None:
             coord_idx = [i for i in range(width) if i != group_idx]
         else:
-            try:
-                coord_idx = [int(c) for c in manifest.coord_cols]
-            except ValueError:
-                raise ParseError("coordinate columns must be indices") from None
+            coord_idx = [index(c, "coordinate column") for c in manifest.coord_cols]
     if not coord_idx:
         raise ParseError("no coordinate columns")
     return group_idx, coord_idx
@@ -130,7 +135,8 @@ def ingest(manifest: IngestManifest) -> list[tuple[str, Cloud]]:
 
     Raises:
         ParseError: malformed rows, unknown columns (row and column
-            reported), undecodable bytes or fields that csv rejects.
+            reported), column indices outside the first row (files without
+            a header), undecodable bytes or fields that csv rejects.
         NonFiniteValue: NaN or infinite coordinate.
         EmptyGroup: the file has no data rows.
     """

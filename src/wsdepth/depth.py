@@ -38,10 +38,8 @@ from .ot_core import (
     barycentric_map,
     check_threads,
     cost_matrix,
-    ordered_map,
     pair_sweep,
-    plan_cost,
-    solve_ot,
+    solve_row,
     w2_matrix,
 )
 
@@ -62,6 +60,9 @@ DEPTH_METHODS = ("wsd", "wsd_discrete", "lens", "metric_spatial", "kernel_spatia
 
 # Radicands more negative than this indicate a real defect, not round-off.
 _RADICAND_GUARD = -1e-8
+
+# Largest kernel block, in entries, that one Gram row computes at once.
+_GRAM_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -228,25 +229,22 @@ def _wsd_direct(
         raise EmptyPopulation("population is empty after exclusion")
     _check_population(q, pop)
 
-    def field(i: int) -> Optional[np.ndarray]:
-        p = pop[i]
-        plan = solve_ot(q, p)
-        cost = plan_cost(plan, q, p)
-        return _unit_field(q.points, cost, barycentric_map(plan, q, p))
-
     acc = _NeumaierSum((q.m, q.d))
-    for f in ordered_map(field, indices, check_threads(threads)):
+    members = [pop[i] for i in indices]
+    for f in solve_row(q, members, _field, threads=threads):
         if f is not None:
             acc.add(f)
     return _wsd(q, acc, len(indices), single_member_rule)
 
 
+def _field(plan: Coupling, cost: float, a: Cloud, b: Cloud) -> Optional[np.ndarray]:
+    """Unit field of ``a`` towards ``b``."""
+    return _unit_field(a.points, cost, barycentric_map(plan, a, b))
+
+
 def _pair_fields(plan: Coupling, cost: float, a: Cloud, b: Cloud):
     """Unit fields of a pair, ``a`` towards ``b`` and ``b`` towards ``a``."""
-    return (
-        _unit_field(a.points, cost, barycentric_map(plan, a, b)),
-        _unit_field(b.points, cost, barycentric_map(plan.transpose(), b, a)),
-    )
+    return _field(plan, cost, a, b), _field(plan.transpose(), cost, b, a)
 
 
 def _wsd_loo(clouds: list[Cloud], threads: int, single_member_rule: bool) -> np.ndarray:
@@ -438,11 +436,26 @@ def _embedding_gram(clouds: Sequence[Cloud], bandwidth: float) -> np.ndarray:
     n = len(clouds)
     gram = np.zeros((n, n))
     scale = -0.5 / (bandwidth * bandwidth)
+    points = np.concatenate([c.points for c in clouds])
+    ends = np.cumsum([c.m for c in clouds])
+    starts = ends - [c.m for c in clouds]
     for i in range(n):
-        for j in range(i, n):
-            a, b = clouds[i], clouds[j]
-            block = np.exp(scale * cost_matrix(a.points, b.points))
-            gram[i, j] = gram[j, i] = float(a.weights @ block @ b.weights)
+        a = clouds[i]
+        j = i
+        while j < n:
+            # one kernel block against the points of clouds j..stop-1, each
+            # cut copied contiguous so its weighted sum runs the same BLAS
+            # calls as a block of its own
+            width = max(_GRAM_BLOCK_ENTRIES // a.m, ends[j] - starts[j])
+            stop = int(np.searchsorted(ends, starts[j] + width, side="right"))
+            block = np.exp(
+                scale * cost_matrix(a.points, points[starts[j]:ends[stop - 1]])
+            )
+            for k in range(j, stop):
+                lo, hi = starts[k] - starts[j], ends[k] - starts[j]
+                cut = np.ascontiguousarray(block[:, lo:hi])
+                gram[i, k] = gram[k, i] = float(a.weights @ cut @ clouds[k].weights)
+            j = stop
     return gram
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import wsdepth.ot_core
 from wsdepth import Cloud, solve_ot
 
 
@@ -28,6 +29,17 @@ def brute_force_assignment_cost(a: Cloud, b: Cloud) -> float:
 def plan_cost_dense(plan_dense, a: Cloud, b: Cloud) -> float:
     cost = ((a.points[:, None, :] - b.points[None, :, :]) ** 2).sum(axis=2)
     return float((plan_dense * cost).sum())
+
+
+def refuse_solves(monkeypatch) -> None:
+    """Fail the test on any transport solve: every pair is solved either by
+    ``solve_ot`` or in a batch of assignment solves."""
+
+    def refuse(*args):
+        raise AssertionError("a transport plan was solved")
+
+    monkeypatch.setattr(wsdepth.ot_core, "solve_ot", refuse)
+    monkeypatch.setattr(wsdepth.ot_core, "_solve_assignments", refuse)
 
 
 @pytest.fixture

@@ -85,6 +85,30 @@ def test_ingest_headerless_and_column_selection(tmp_path):
     assert named[1][1].m == 2 and named[1][1].d == 1
 
 
+@pytest.mark.parametrize(
+    "group_col, coord_cols",
+    [("-1", None), ("2", ("0", "-2")), ("3", None), ("0", ("1", "3")), ("-4", None)],
+    ids=["negative-group", "negative-coordinate", "group-past-width",
+         "coordinate-past-width", "group-below-minus-width"],
+)
+def test_headerless_column_index_outside_the_row_is_rejected(
+    group_col, coord_cols, tmp_path, capsys
+):
+    path = write(tmp_path / "n.csv", "1.0,2.0,7\n3.0,4.0,7\n5.0,6.0,8\n")
+    with pytest.raises(ParseError, match="outside the first row's columns 0..2"):
+        ingest(IngestManifest(path, group_col=group_col, coord_cols=coord_cols,
+                              has_header=False))
+    argv = ["depth", "--input", path, "--no-header", f"--group-col={group_col}",
+            "--out", str(tmp_path / "x.jsonl")]
+    if coord_cols:
+        argv.append(f"--coord-cols={','.join(coord_cols)}")
+    code = main(argv)
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not (tmp_path / "x.jsonl").exists()
+
+
 def test_ingest_unequal_group_sizes(tmp_path):
     path = write(tmp_path / "uneven.csv", "group,x0\na,1\na,2\na,3\nb,9\n")
     named = ingest(IngestManifest(path=path, group_col="group"))

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import wsdepth.ot_core
+import wsdepth.depth
 from wsdepth import (
     Cloud,
     DimensionMismatch,
@@ -21,9 +21,10 @@ from wsdepth import (
     wsd_discrete,
     wsd_empirical,
 )
-from wsdepth.depth import _kernel_depth_from_gram, make_report
+from wsdepth.depth import _embedding_gram, _kernel_depth_from_gram, make_report
+from wsdepth.ot_core import cost_matrix
 
-from conftest import make_cloud, triple_sum_depth
+from conftest import make_cloud, refuse_solves, triple_sum_depth
 
 
 def point_mass(*coords):
@@ -407,6 +408,29 @@ def test_kernel_reduction_equals_double_loop_bitwise(rng):
         )
 
 
+def _gram_per_pair(clouds, bandwidth):
+    """Reference: one kernel block per cloud pair."""
+    n = len(clouds)
+    gram = np.zeros((n, n))
+    scale = -0.5 / (bandwidth * bandwidth)
+    for i in range(n):
+        for j in range(i, n):
+            a, b = clouds[i], clouds[j]
+            block = np.exp(scale * cost_matrix(a.points, b.points))
+            gram[i, j] = gram[j, i] = float(a.weights @ block @ b.weights)
+    return gram
+
+
+@pytest.mark.parametrize("block", [wsdepth.depth._GRAM_BLOCK_ENTRIES, 45, 1])
+def test_kernel_gram_matches_per_pair_blocks_bitwise(block, rng, monkeypatch):
+    # the default block (one per row here), a few clouds per block, one each
+    monkeypatch.setattr(wsdepth.depth, "_GRAM_BLOCK_ENTRIES", block)
+    clouds = [make_cloud(rng, m, 3, uniform=m % 2 == 0) for m in (5, 1, 7, 6, 12, 3, 4)]
+    for bandwidth in (0.3, 1.0, 4.0):
+        got = _embedding_gram(clouds, bandwidth)
+        assert got.tobytes() == _gram_per_pair(clouds, bandwidth).tobytes()
+
+
 def test_kernel_depth_validation(rng):
     q = make_cloud(rng, 4, 2)
     with pytest.raises(NonpositiveBandwidth):
@@ -460,10 +484,7 @@ def test_compute_depths_matches_direct_functions(rng):
     ],
 )
 def test_compute_depths_rejects_parameters_before_solving(kwargs, rng, monkeypatch):
-    def refuse(a, b):
-        raise AssertionError("a transport plan was solved")
-
-    monkeypatch.setattr(wsdepth.ot_core, "solve_ot", refuse)
+    refuse_solves(monkeypatch)
     clouds = [make_cloud(rng, 4, 2) for _ in range(4)]
     with pytest.raises(InvalidParameter):
         compute_depths(clouds, **kwargs)

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 
 from wsdepth import (
     Cloud,
@@ -22,13 +22,14 @@ from wsdepth import (
     w2_matrix,
     w2_squared,
     wsd_all,
+    wsd_discrete,
     wsd_empirical,
 )
 import wsdepth.depth
 import wsdepth.ot_core
 from wsdepth.ot_core import cost_matrix, plan_cost
 
-from conftest import brute_force_assignment_cost, make_cloud
+from conftest import brute_force_assignment_cost, make_cloud, refuse_solves
 
 
 # ---------------------------------------------------------------------------
@@ -358,24 +359,25 @@ def test_pair_failures_are_typed_and_name_the_pair(raised, expected, rng, monkey
         raise raised
 
     clouds = [make_cloud(rng, 3, 2) for _ in range(3)]
-    # the solve under w2_matrix, and the image step of the leave-one-out
-    # sweep, which runs after the pair's solve and cost
-    for module, name, run in [
-        (wsdepth.ot_core, "solve_ot", w2_matrix),
-        (wsdepth.depth, "barycentric_map", wsd_all),
+    # unequal sizes: every pair reaches solve_ot on its own (the LP path)
+    ragged = [make_cloud(rng, m, 2) for m in (3, 4, 5)]
+    # the solve under w2_matrix, on both solver layers of a row, and the
+    # image step of the leave-one-out sweep, which runs after the pair's
+    # solve and cost
+    for module, name, run, collection in [
+        (wsdepth.ot_core, "solve_ot", w2_matrix, ragged),
+        (wsdepth.ot_core, "_solve_assignments", w2_matrix, clouds),
+        (wsdepth.depth, "barycentric_map", wsd_all, clouds),
     ]:
         with monkeypatch.context() as patch:
             patch.setattr(module, name, fail)
             with pytest.raises(expected, match=r"^clouds \(0, 1\): ") as info:
-                run(clouds)
+                run(collection)
         assert str(raised) in str(info.value)
 
 
 def test_pair_sweep_rejects_nonpositive_threads(rng, monkeypatch):
-    def refuse(a, b):
-        raise AssertionError("a transport plan was solved")
-
-    monkeypatch.setattr(wsdepth.ot_core, "solve_ot", refuse)
+    refuse_solves(monkeypatch)
     clouds = [make_cloud(rng, 3, 2) for _ in range(3)]
     for threads in (0, -3):
         for run in (w2_matrix, wsd_all):
@@ -488,3 +490,121 @@ def test_overflowing_costs_raise_numerical_error(path, rng, recwarn):
             weights = rng.dirichlet(np.ones(4))
             w2(Cloud(rng.normal(size=(4, 2)) * 1e160, weights), _huge(rng, 5, 2))
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+# ---------------------------------------------------------------------------
+# the row path: batched assignment solves
+# ---------------------------------------------------------------------------
+
+
+def test_duplicate_groups_are_cached_ascending_and_read_only():
+    c = Cloud(np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 2.0], [0.0, 0.0],
+                        [1.0, 0.0]]))
+    groups = c.duplicate_groups
+    assert [g.tolist() for g in groups] == [[1, 4], [0, 2, 5]]
+    assert c.duplicate_groups is groups and c.has_duplicate_points
+    assert not any(g.flags.writeable for g in groups)
+    plain = Cloud(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert plain.duplicate_groups == () and not plain.has_duplicate_points
+
+
+def _duplicate_groups_per_pair(points):
+    _, inverse, counts = np.unique(points, axis=0, return_inverse=True,
+                                   return_counts=True)
+    return [np.flatnonzero(inverse == g) for g in np.flatnonzero(counts > 1)]
+
+
+def _assignment_per_pair(a, b):
+    """Reference: one assignment solve per pair, as before batching: its own
+    cost matrix, duplicate groups found again for the pair, a plan built by
+    ``Coupling.from_permutation`` and its cost from ``plan_cost``."""
+    cost = cost_matrix(a.centered, b.centered)
+    if not np.isfinite(cost).all():
+        raise NumericalError("squared distances overflow float64")
+    _, sigma = linear_sum_assignment(cost)
+    sigma = sigma.astype(np.int64)
+    inverse_sigma = np.empty_like(sigma)
+    inverse_sigma[sigma] = np.arange(sigma.shape[0])
+    for dup_targets in _duplicate_groups_per_pair(b.points):
+        sigma[np.sort(inverse_sigma[dup_targets])] = dup_targets
+    for dup_sources in _duplicate_groups_per_pair(a.points):
+        sigma[dup_sources] = np.sort(sigma[dup_sources])
+    plan = Coupling.from_permutation(sigma, a.weights)
+    return plan, plan_cost(plan, a, b)
+
+
+def _row_collection(kind, rng):
+    if kind == "equal":
+        return [make_cloud(rng, 6, 3) for _ in range(7)]
+    if kind == "mixed-size":  # assignment, replicated assignment and LP pairs
+        return [make_cloud(rng, m, 3) for m in (6, 6, 3, 12, 6, 7, 6, 2)]
+    if kind == "duplicated":  # ties between duplicated atoms on both sides
+        clouds = [Cloud(rng.integers(0, 3, size=(8, 2)).astype(float))
+                  for _ in range(6)]
+        return clouds + [clouds[2]]
+    if kind == "point-mass":
+        return [make_cloud(rng, m, 2) for m in (5, 1, 5, 5, 1, 5)]
+    return [make_cloud(rng, m, 1) for m in (5, 5, 4, 5, 10)]  # 1-D
+
+
+def _row_outputs(clouds, threads):
+    return [
+        w2_matrix(clouds, threads=threads).tobytes(),
+        wsd_all(clouds, threads=threads).values.tobytes(),
+        wsd_discrete(clouds[0], clouds[1:], threads=threads),
+        wsd_empirical(clouds[1], clouds, exclude=1, threads=threads),
+        wsd_empirical(clouds[-1], clouds[:-1], threads=threads),
+    ]
+
+
+@pytest.mark.parametrize(
+    "kind", ["equal", "mixed-size", "duplicated", "point-mass", "1-D"]
+)
+def test_row_path_matches_per_pair_solves_bitwise(kind, rng, monkeypatch):
+    clouds = _row_collection(kind, rng)
+    with monkeypatch.context() as patch:
+        patch.setattr(wsdepth.ot_core, "_solve_assignments",
+                      lambda a, targets: [_assignment_per_pair(a, b) for b in targets])
+        want = _row_outputs(clouds, 1)
+        plans = [solve_ot(a, b) for a in clouds for b in clouds]
+    # the default block, and blocks of one target each
+    for block in (wsdepth.ot_core._BLOCK_ENTRIES, 1):
+        monkeypatch.setattr(wsdepth.ot_core, "_BLOCK_ENTRIES", block)
+        for threads in (1, 2, 3):
+            assert _row_outputs(clouds, threads) == want, (block, threads)
+    for want_plan, (a, b) in zip(plans, [(a, b) for a in clouds for b in clouds]):
+        got = solve_ot(a, b)
+        for field in ("rows", "cols", "mass", "permutation"):
+            g, w = getattr(got, field), getattr(want_plan, field)
+            assert (g is None) == (w is None), field
+            if g is not None:
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), field
+
+
+def _overflow_at(pair):
+    return rf"^clouds \({pair[0]}, {pair[1]}\): squared distances overflow float64$"
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_overflowing_row_names_its_first_bad_pair(threads, rng):
+    fine = [make_cloud(rng, 5, 2) for _ in range(4)]
+    huge = [_huge(rng, 5, 2) for _ in range(2)]
+    # pairs (0, 1) to (0, 3) solve in the batch, (0, 4) and (0, 5) overflow
+    with pytest.raises(NumericalError, match=_overflow_at((0, 4))):
+        w2_matrix(fine + huge, threads=threads)
+    # a pair off the batch (a weighted cloud, on the LP) fails first
+    weighted = Cloud(rng.normal(size=(5, 2)) * 1e160, rng.dirichlet(np.ones(5)))
+    with pytest.raises(NumericalError, match=_overflow_at((0, 2))):
+        w2_matrix(fine[:2] + [weighted] + huge, threads=threads)
+    # a batched pair fails before a pair off the batch
+    with pytest.raises(NumericalError, match=_overflow_at((0, 2))):
+        w2_matrix(fine[:2] + huge + [weighted], threads=threads)
+
+    # a step that fails on a pair before the first overflow
+    def step(plan, cost, a, b):
+        if b is fine[2]:
+            raise MarginalMismatch("step failed")
+        return cost
+
+    with pytest.raises(MarginalMismatch, match=r"^clouds \(0, 2\): step failed$"):
+        list(wsdepth.ot_core.pair_sweep(fine + huge, step, threads=threads))

@@ -18,6 +18,8 @@ from wsdepth import (
 )
 from wsdepth.sim import analytic_value, query_cloud
 
+from conftest import refuse_solves
+
 
 def config(**kw):
     base = dict(experiment="consistency", case=1, n=10, m=20, seed=7)
@@ -333,8 +335,7 @@ def test_runners_reject_a_config_of_another_experiment(
 
 def test_consistency_parameters_are_checked_before_any_solve(monkeypatch):
     monkeypatch.setattr(wsdepth.sim, "sample_two_stage", _refuse)
-    monkeypatch.setattr(wsdepth.ot_core, "solve_ot", _refuse)
-    monkeypatch.setattr(wsdepth.depth, "solve_ot", _refuse)
+    refuse_solves(monkeypatch)
     off_domain = ((1, -1.0), (1, 1.5), (2, 1.5), (3, 0.5), (3, 5.0), (3, -1.0), (4, 2.5))
     for case, param in off_domain:
         with pytest.raises(UnsupportedPairing):
