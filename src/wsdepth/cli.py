@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .depth import DepthReport, compute_depths
+from .depth import compute_depths
 from .errors import (
     EmptyGroup,
     InvalidParameter,
@@ -29,7 +29,6 @@ from .errors import (
 )
 from .ot_core import Cloud
 from .sim import (
-    EXPERIMENTS,
     ExperimentConfig,
     run_consistency,
     run_kernel_comparison,
@@ -134,20 +133,25 @@ def ingest(manifest: IngestManifest) -> list[tuple[str, Cloud]]:
     Groups may have unequal sizes; every cloud carries uniform weights.
 
     Raises:
-        ParseError: malformed rows, unknown columns (row and column
-            reported), column indices outside the first row (files without
-            a header), undecodable bytes or fields that csv rejects.
+        ParseError: a file that cannot be opened or read, malformed rows,
+            unknown columns (row and column reported), column indices
+            outside the first row (files without a header), undecodable
+            bytes or fields that csv rejects.
         NonFiniteValue: NaN or infinite coordinate.
         EmptyGroup: the file has no data rows.
     """
-    with open(manifest.path, newline="") as handle:
-        reader = csv.reader(handle, delimiter=manifest.delimiter)
-        try:
+    try:
+        with open(manifest.path, newline="") as handle:
+            reader = csv.reader(handle, delimiter=manifest.delimiter)
             rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-        except csv.Error as exc:  # e.g. a field over csv's size limit
-            raise ParseError(f"{manifest.path}:{reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"{manifest.path}: not readable as text: {exc}") from None
+    except OSError as exc:  # missing file, a directory, no permission
+        raise ParseError(
+            f"{manifest.path}: cannot read: {exc.strerror or exc}"
+        ) from None
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise ParseError(f"{manifest.path}:{reader.line_num}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{manifest.path}: not readable as text: {exc}") from None
     if not rows:
         raise EmptyGroup(f"{manifest.path}: file is empty")
     group_idx, coord_idx = _resolve_columns(manifest, rows[0])
@@ -183,86 +187,45 @@ def ingest(manifest: IngestManifest) -> list[tuple[str, Cloud]]:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each raises on failure and returns the files to write, {path: text}
 # ---------------------------------------------------------------------------
 
 
-def _write_report(path: str, ids: list[str], report: DepthReport) -> None:
+def _cmd_depth(args) -> dict[str, str]:
+    method = _METHOD_FLAGS.get(args.method)
+    if method is None:
+        raise InvalidParameter(
+            f"unknown method {args.method!r}; choose from"
+            f" {', '.join(sorted(_METHOD_FLAGS))}"
+        )
+    manifest = IngestManifest(
+        path=args.input,
+        group_col=args.group_col,
+        coord_cols=tuple(args.coord_cols.split(",")) if args.coord_cols else None,
+        delimiter=args.delimiter,
+        has_header=not args.no_header,
+    )
+    named = ingest(manifest)
+    report = compute_depths(
+        [c for _, c in named],
+        method,
+        threshold_quantile=args.threshold,
+        bandwidth=args.bandwidth,
+        threads=args.threads,
+    )
     lines = []
-    for i, gid in enumerate(ids):
+    for i, (gid, _) in enumerate(named):
         flagged = "true" if bool(report.outlier_flags[i]) else "false"
         lines.append(
             f'{{"id": {json.dumps(gid)}, "depth": {_fmt(report.values[i])},'
             f' "rank": {int(report.ranks[i])}, "flagged": {flagged}}}'
         )
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+    return {args.out: "\n".join(lines) + "\n"}
 
 
-def _cmd_depth(args) -> int:
-    method = _METHOD_FLAGS.get(args.method)
-    if method is None:
-        print(
-            f"error: unknown method {args.method!r}; choose from"
-            f" {', '.join(sorted(_METHOD_FLAGS))}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    try:
-        manifest = IngestManifest(
-            path=args.input,
-            group_col=args.group_col,
-            coord_cols=tuple(args.coord_cols.split(",")) if args.coord_cols else None,
-            delimiter=args.delimiter,
-            has_header=not args.no_header,
-        )
-        named = ingest(manifest)
-    except InvalidParameter as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, EmptyGroup, NonFiniteValue, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INGEST
-    ids = [gid for gid, _ in named]
-    clouds = [c for _, c in named]
-    try:
-        report = compute_depths(
-            clouds,
-            method,
-            threshold_quantile=args.threshold,
-            bandwidth=args.bandwidth,
-            threads=args.threads,
-        )
-    except InvalidParameter as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except WsdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    try:
-        _write_report(args.out, ids, report)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
+def _table_text(rows: Sequence[tuple]) -> str:
+    """Tab-separated rows of one NamedTuple type under a header of its fields."""
 
-
-def _config_from_args(args) -> ExperimentConfig:
-    return ExperimentConfig(
-        experiment=args.experiment,
-        case=args.case,
-        n=args.n,
-        m=args.m,
-        d=args.d,
-        repetitions=args.reps,
-        seed=args.seed,
-        threshold_quantile=args.threshold,
-        bandwidth=args.bandwidth,
-        threads=args.threads,
-    )
-
-
-def _table_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
     def cell(v) -> str:
         if isinstance(v, bool):
             return "true" if v else "false"
@@ -270,7 +233,7 @@ def _table_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
             return _fmt(v)
         return str(v)
 
-    lines = ["\t".join(header)]
+    lines = ["\t".join(type(rows[0])._fields)]
     lines.extend("\t".join(cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
@@ -278,27 +241,17 @@ def _table_text(header: Sequence[str], rows: Sequence[Sequence]) -> str:
 def _run_experiment(config: ExperimentConfig) -> tuple[str, dict]:
     if config.experiment == "consistency":
         result = run_consistency(config)
-        table = _table_text(
-            ["parameter", "analytic", "mean_empirical", "sd_empirical", "repetitions"],
-            [
-                (r.parameter, r.analytic, r.mean_empirical, r.sd_empirical, r.repetitions)
-                for r in result.rows
-            ],
-        )
+        rows = result.rows
         summary = {
-            "parameters": [r.parameter for r in result.rows],
-            "analytic_values": [r.analytic for r in result.rows],
-            "mean_empirical": [r.mean_empirical for r in result.rows],
-            "sd_empirical": [r.sd_empirical for r in result.rows],
-            "max_abs_gap": max(
-                abs(r.mean_empirical - r.analytic) for r in result.rows
-            ),
+            "parameters": [r.parameter for r in rows],
+            "analytic_values": [r.analytic for r in rows],
+            "mean_empirical": [r.mean_empirical for r in rows],
+            "sd_empirical": [r.sd_empirical for r in rows],
+            "max_abs_gap": max(abs(r.mean_empirical - r.analytic) for r in rows),
         }
     elif config.experiment == "location_equivalence":
         result = run_location_equivalence(config)
-        table = _table_text(
-            ["cloud", "wsd", "location_depth"], list(result.rows)
-        )
+        rows = result.rows
         summary = {
             "max_abs_gap": max(result.max_abs_gaps),
             "rank_correlation_min": min(result.rank_correlations),
@@ -306,31 +259,11 @@ def _run_experiment(config: ExperimentConfig) -> tuple[str, dict]:
         }
     elif config.experiment == "outliers":
         result = run_outlier_experiment(config)
-        table = _table_text(
-            [
-                "repetition",
-                "recovered_bottom_k",
-                "flagged_planted",
-                "flagged_total",
-                "all_recovered",
-            ],
-            [
-                (
-                    r.repetition,
-                    r.recovered_bottom_k,
-                    r.flagged_planted,
-                    r.flagged_total,
-                    r.all_recovered,
-                )
-                for r in result.recoveries
-            ],
-        )
+        rows = result.recoveries
         summary = {"recovery_fraction": result.recovery_fraction}
     else:
         result = run_kernel_comparison(config)
-        table = _table_text(
-            ["cloud", "wsd", "kernel_depth", "exotic"], list(result.rows)
-        )
+        rows = result.rows
         summary = {
             "wsd_bottom_fraction": result.wsd_bottom_fraction,
             "kernel_bottom_fraction": result.kernel_bottom_fraction,
@@ -346,56 +279,37 @@ def _run_experiment(config: ExperimentConfig) -> tuple[str, dict]:
             "seed": config.seed,
         }
     )
-    return table, summary
+    return _table_text(rows), summary
 
 
-def _cmd_experiment(args) -> int:
-    if args.experiment not in EXPERIMENTS:
-        print(
-            f"error: unknown experiment {args.experiment!r}; choose from"
-            f" {', '.join(EXPERIMENTS)}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    try:
-        config = _config_from_args(args)
-    except InvalidParameter as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        table, summary = _run_experiment(config)
-    except WsdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
-    try:
-        with open(args.out, "w") as handle:
-            handle.write(table)
-        with open(args.out + ".summary.json", "w") as handle:
-            json.dump(summary, handle, sort_keys=True, indent=2)
-            handle.write("\n")
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
+def _cmd_experiment(args) -> dict[str, str]:
+    config = ExperimentConfig(
+        experiment=args.experiment,
+        case=args.case,
+        n=args.n,
+        m=args.m,
+        d=args.d,
+        repetitions=args.reps,
+        seed=args.seed,
+        threshold_quantile=args.threshold,
+        bandwidth=args.bandwidth,
+        threads=args.threads,
+    )
+    table, summary = _run_experiment(config)
+    summary_text = json.dumps(summary, sort_keys=True, indent=2) + "\n"
+    return {args.out: table, args.out + ".summary.json": summary_text}
 
 
-def _cmd_sample(args) -> int:
-    if args.experiment not in EXPERIMENTS:
-        print(f"error: unknown experiment {args.experiment!r}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        config = ExperimentConfig(
-            experiment=args.experiment,
-            case=args.case,
-            n=args.n,
-            m=args.m,
-            d=args.d,
-            seed=args.seed,
-        )
-        clouds = sample_experiment(config, args.rep)
-    except WsdError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _cmd_sample(args) -> dict[str, str]:
+    config = ExperimentConfig(
+        experiment=args.experiment,
+        case=args.case,
+        n=args.n,
+        m=args.m,
+        d=args.d,
+        seed=args.seed,
+    )
+    clouds = sample_experiment(config, args.rep)
     d = clouds[0].d
     width = len(str(len(clouds) - 1))
     lines = ["group," + ",".join(f"x{k}" for k in range(d))]
@@ -404,13 +318,17 @@ def _cmd_sample(args) -> int:
         for row in cloud.points:
             # repr round-trips float64 exactly, so ingest rebuilds the clouds
             lines.append(gid + "," + ",".join(repr(float(v)) for v in row))
-    try:
-        with open(args.out, "w") as handle:
-            handle.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
+    return {args.out: "\n".join(lines) + "\n"}
+
+
+_COMMANDS = {"depth": _cmd_depth, "experiment": _cmd_experiment, "sample": _cmd_sample}
+
+# A failure exits with the code of the first entry it is an instance of.
+_EXIT_CODES = (
+    (InvalidParameter, EXIT_USAGE),
+    ((ParseError, EmptyGroup, NonFiniteValue), EXIT_INGEST),
+    (WsdError, EXIT_COMPUTE),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -469,17 +387,24 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.command == "depth":
-        return _cmd_depth(args)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    return _cmd_sample(args)
+    try:
+        outputs = _COMMANDS[args.command](args)
+    except WsdError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+    try:
+        for path, text in outputs.items():
+            with open(path, "w") as handle:
+                handle.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 def entry() -> None:

@@ -224,6 +224,10 @@ def _wsd_direct(
     pop = list(population)
     if not pop:
         raise EmptyPopulation("population is empty")
+    if exclude is not None and not 0 <= exclude < len(pop):
+        raise InvalidParameter(
+            f"exclude must index the population 0..{len(pop) - 1}, got {exclude}"
+        )
     indices = _others(len(pop), exclude)
     if not indices:
         raise EmptyPopulation("population is empty after exclusion")
@@ -292,7 +296,8 @@ def wsd_empirical(
     Raises:
         EmptyPopulation: no members remain after exclusion.
         DimensionMismatch: a member lives in a different dimension.
-        InvalidParameter: ``threads < 1``.
+        InvalidParameter: ``threads < 1``, or ``exclude`` outside
+            ``0..len(population) - 1``; raised before any plan is solved.
     """
     return _wsd_direct(q, population, exclude, threads, single_member_rule=True)
 

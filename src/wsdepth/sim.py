@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtri
@@ -43,8 +43,11 @@ __all__ = [
     "ConsistencyResult",
     "ConsistencyRow",
     "LocationEquivalenceResult",
+    "LocationRow",
     "OutlierResult",
+    "OutlierRecovery",
     "KernelComparisonResult",
+    "KernelRow",
     "EXPERIMENTS",
 ]
 
@@ -387,7 +390,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         if self.experiment not in EXPERIMENTS:
-            raise InvalidParameter(f"unknown experiment {self.experiment!r}")
+            raise InvalidParameter(
+                f"unknown experiment {self.experiment!r}; choose from"
+                f" {', '.join(EXPERIMENTS)}"
+            )
         if (self.experiment, self.case) not in _CASES:
             raise InvalidParameter(
                 f"experiment {self.experiment!r} has no case {self.case}"
@@ -543,8 +549,7 @@ def analytic_value(case: int, param: float) -> float:
     return _consistency_case(case).depth(param)
 
 
-@dataclass(frozen=True)
-class ConsistencyRow:
+class ConsistencyRow(NamedTuple):
     parameter: float
     analytic: float
     mean_empirical: float
@@ -616,11 +621,17 @@ def run_consistency(
 # ---------------------------------------------------------------------------
 
 
+class LocationRow(NamedTuple):
+    cloud: int
+    wsd: float
+    location_depth: float
+
+
 @dataclass(frozen=True)
 class LocationEquivalenceResult:
     """Per-cloud depth pairs from the final repetition plus summaries."""
 
-    rows: tuple  # (cloud index, wsd, location spatial depth)
+    rows: tuple  # LocationRow per cloud
     max_abs_gaps: tuple
     rank_correlations: tuple
     config: ExperimentConfig
@@ -649,7 +660,7 @@ def run_location_equivalence(config: ExperimentConfig) -> LocationEquivalenceRes
         gaps.append(float(np.abs(report.values - loc_depths).max()))
         corrs.append(float(spearmanr(report.values, loc_depths).statistic))
         rows = tuple(
-            (i, float(report.values[i]), float(loc_depths[i]))
+            LocationRow(i, float(report.values[i]), float(loc_depths[i]))
             for i in range(config.n)
         )
     return LocationEquivalenceResult(
@@ -665,8 +676,7 @@ def run_location_equivalence(config: ExperimentConfig) -> LocationEquivalenceRes
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OutlierRecovery:
+class OutlierRecovery(NamedTuple):
     repetition: int
     recovered_bottom_k: int
     flagged_planted: int
@@ -729,9 +739,16 @@ def run_outlier_experiment(config: ExperimentConfig) -> OutlierResult:
 # ---------------------------------------------------------------------------
 
 
+class KernelRow(NamedTuple):
+    cloud: int
+    wsd: float
+    kernel_depth: float
+    exotic: bool
+
+
 @dataclass(frozen=True)
 class KernelComparisonResult:
-    rows: tuple  # (cloud index, wsd, kernel depth, is exotic)
+    rows: tuple  # KernelRow per cloud, exotic clouds last
     wsd_bottom_fraction: float
     kernel_bottom_fraction: float
     config: ExperimentConfig
@@ -765,11 +782,8 @@ def run_kernel_comparison(config: ExperimentConfig) -> KernelComparisonResult:
             set(np.argsort(kernel_values, kind="stable")[:k].tolist()) == exotic
         )
         rows = tuple(
-            (
-                i,
-                float(wsd_report.values[i]),
-                float(kernel_values[i]),
-                i in exotic,
+            KernelRow(
+                i, float(wsd_report.values[i]), float(kernel_values[i]), i in exotic
             )
             for i in range(len(clouds))
         )

@@ -1,6 +1,7 @@
 """Command-line surface: ingestion, depth reports, experiments, round trips."""
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -8,11 +9,15 @@ import numpy as np
 import pytest
 
 import wsdepth
+import wsdepth.cli
 from wsdepth import (
     EmptyGroup,
+    EmptyPopulation,
     IngestManifest,
     InvalidParameter,
     NonFiniteValue,
+    NonpositiveBandwidth,
+    NumericalError,
     ParseError,
     ingest,
 )
@@ -107,6 +112,34 @@ def test_headerless_column_index_outside_the_row_is_rejected(
     assert code == 2
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert not (tmp_path / "x.jsonl").exists()
+
+
+def _unreadable(tmp_path):
+    path = tmp_path / "locked.csv"
+    path.write_text("group,x0\na,1\n")
+    path.chmod(0)
+    return path
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda tmp_path: tmp_path / "absent.csv",
+        lambda tmp_path: tmp_path,
+        pytest.param(
+            _unreadable,
+            marks=pytest.mark.skipif(
+                os.name != "posix" or os.geteuid() == 0,
+                reason="root reads files without read permission",
+            ),
+        ),
+    ],
+    ids=["missing", "directory", "no-permission"],
+)
+def test_ingest_input_that_cannot_be_opened_is_a_parse_error(make, tmp_path):
+    path = str(make(tmp_path))
+    with pytest.raises(ParseError, match="^" + re.escape(path) + ": cannot read: "):
+        ingest(IngestManifest(path=path, group_col="group"))
 
 
 def test_ingest_unequal_group_sizes(tmp_path):
@@ -472,3 +505,48 @@ def test_outputs_byte_identical_across_thread_counts(small_csv, tmp_path):
         )
         reports.append(out.read_bytes())
     assert reports[0] == reports[1]
+
+
+def test_write_failure_is_one_error_line_exit_one(small_csv, tmp_path, capsys):
+    out = str(tmp_path)  # an existing directory cannot be opened for writing
+    for argv in (
+        ["depth", "--input", small_csv, "--group-col", "group"],
+        ["experiment", "--experiment", "consistency", "--case", "2",
+         "--n", "4", "--m", "5"],
+        ["sample", "--experiment", "consistency", "--n", "3", "--m", "4"],
+    ):
+        code = main([*argv, "--out", out])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == 1, argv[0]
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {out}: ")
+
+
+@pytest.mark.parametrize(
+    "failure, code",
+    [
+        (InvalidParameter, 1),
+        (NonpositiveBandwidth, 1),
+        (ParseError, 2),
+        (EmptyGroup, 2),
+        (NonFiniteValue, 2),
+        (NumericalError, 3),
+        (EmptyPopulation, 3),
+    ],
+)
+def test_every_command_maps_a_failure_class_to_one_exit_code(
+    failure, code, tmp_path, capsys, monkeypatch
+):
+    def fail(*args, **kwargs):
+        raise failure("planted")
+
+    for name in ("ingest", "run_consistency", "sample_experiment"):
+        monkeypatch.setattr(wsdepth.cli, name, fail)
+    out = tmp_path / "x"
+    for argv in (
+        ["depth", "--input", "any.csv"],
+        ["experiment", "--experiment", "consistency"],
+        ["sample", "--experiment", "consistency"],
+    ):
+        assert main([*argv, "--out", str(out)]) == code, argv[0]
+        assert capsys.readouterr().err == "error: planted\n"
+        assert not out.exists()

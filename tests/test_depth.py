@@ -87,6 +87,16 @@ def test_empty_population_raises(rng):
         wsd_all([q])
 
 
+@pytest.mark.parametrize("exclude", [4, -1, -3], ids=["len", "minus-1", "minus-3"])
+def test_exclude_outside_the_population_is_rejected_before_solving(
+    exclude, rng, monkeypatch
+):
+    refuse_solves(monkeypatch)
+    clouds = [make_cloud(rng, 4, 2) for _ in range(4)]
+    with pytest.raises(InvalidParameter, match="exclude"):
+        wsd_empirical(clouds[0], clouds, exclude=exclude)
+
+
 # ---------------------------------------------------------------------------
 # leave-one-out consistency and report mechanics
 # ---------------------------------------------------------------------------

@@ -315,6 +315,15 @@ def _refuse(*args, **kwargs):
     raise AssertionError("clouds were sampled or a plan was solved")
 
 
+def test_unknown_experiment_lists_the_valid_ones():
+    with pytest.raises(
+        InvalidParameter,
+        match="choose from consistency, location_equivalence, outliers,"
+        " kernel_comparison$",
+    ):
+        config(experiment="bogus")
+
+
 @pytest.mark.parametrize(
     "runner, experiment, case",
     [
