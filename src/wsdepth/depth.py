@@ -37,7 +37,7 @@ from .ot_core import (
     Coupling,
     barycentric_map,
     check_threads,
-    cost_matrix,
+    cost_blocks,
     pair_sweep,
     solve_row,
     w2_matrix,
@@ -60,9 +60,6 @@ DEPTH_METHODS = ("wsd", "wsd_discrete", "lens", "metric_spatial", "kernel_spatia
 
 # Radicands more negative than this indicate a real defect, not round-off.
 _RADICAND_GUARD = -1e-8
-
-# Largest kernel block, in entries, that one Gram row computes at once.
-_GRAM_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -441,26 +438,17 @@ def _embedding_gram(clouds: Sequence[Cloud], bandwidth: float) -> np.ndarray:
     n = len(clouds)
     gram = np.zeros((n, n))
     scale = -0.5 / (bandwidth * bandwidth)
-    points = np.concatenate([c.points for c in clouds])
-    ends = np.cumsum([c.m for c in clouds])
-    starts = ends - [c.m for c in clouds]
-    for i in range(n):
-        a = clouds[i]
-        j = i
-        while j < n:
-            # one kernel block against the points of clouds j..stop-1, each
-            # cut copied contiguous so its weighted sum runs the same BLAS
-            # calls as a block of its own
-            width = max(_GRAM_BLOCK_ENTRIES // a.m, ends[j] - starts[j])
-            stop = int(np.searchsorted(ends, starts[j] + width, side="right"))
-            block = np.exp(
-                scale * cost_matrix(a.points, points[starts[j]:ends[stop - 1]])
-            )
-            for k in range(j, stop):
-                lo, hi = starts[k] - starts[j], ends[k] - starts[j]
-                cut = np.ascontiguousarray(block[:, lo:hi])
+    rest = np.concatenate([c.points for c in clouds])  # points of clouds i..n-1
+    sizes = [c.m for c in clouds]
+    for i, a in enumerate(clouds):
+        for lo, hi, cost in cost_blocks(a.points, rest, sizes[i:]):
+            block, col = np.exp(scale * cost), 0
+            for k in range(i + lo, i + hi):
+                # copied contiguous: its weighted sum runs a lone block's BLAS
+                cut = np.ascontiguousarray(block[:, col:col + sizes[k]])
                 gram[i, k] = gram[k, i] = float(a.weights @ cut @ clouds[k].weights)
-            j = stop
+                col += sizes[k]
+        rest = rest[a.m:]
     return gram
 
 

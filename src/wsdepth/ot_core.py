@@ -19,9 +19,11 @@ depth layer relies on for deterministic parallel evaluation.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -50,6 +52,7 @@ __all__ = [
     "solve_row",
     "ordered_map",
     "cost_matrix",
+    "cost_blocks",
     "check_threads",
 ]
 
@@ -272,6 +275,28 @@ def cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return cdist(x, y, "sqeuclidean")
 
 
+# Largest cost block, in entries (8 bytes, twice while laid out per target).  With
+# 2 MiB of L2 per core, rows of 20-point clouds solved twice as fast per pair in
+# one block, blocks of three 100-point clouds a few per cent faster, larger slower.
+_BLOCK_ENTRIES = 1 << 15
+
+
+def cost_blocks(x: np.ndarray, points: np.ndarray, sizes: Sequence[int]):
+    """``(lo, hi, cost_matrix(x, rows of targets lo..hi-1))`` in target order.
+
+    ``points`` stacks the targets, ``sizes[k]`` rows for target ``k``.  A
+    block holds at most ``_BLOCK_ENTRIES`` entries, or one target that
+    alone holds more; ``cdist`` works entry by entry, so each target's
+    columns equal its own ``cost_matrix`` bit for bit.
+    """
+    ends = list(accumulate(sizes))
+    lo = start = 0
+    while lo < len(ends):
+        hi = bisect_right(ends, start + _BLOCK_ENTRIES // len(x), lo + 1)
+        yield lo, hi, cost_matrix(x, points[start:ends[hi - 1]])
+        lo, start = hi, ends[hi - 1]
+
+
 _OVERFLOW = "squared distances overflow float64"
 
 
@@ -409,11 +434,11 @@ def _solve_assignments(
 ) -> list[tuple[Coupling, float]]:
     """Optimal permutation plans and their costs from ``a`` to each target.
 
-    Every pair must satisfy ``_is_assignment``.  The batch shares one cost
-    block and array-wide bookkeeping; each plan and cost equals what a
-    batch of that target alone gives, bit for bit, because ``cdist`` and
-    the cost terms are computed entry by entry and each assignment solve
-    sees its own contiguous block.
+    Every pair must satisfy ``_is_assignment``.  The batch shares the cost
+    blocks of ``cost_blocks`` and array-wide bookkeeping; each plan and
+    cost equals what a batch of that target alone gives, bit for bit,
+    because ``cdist`` and the cost terms are computed entry by entry and
+    each assignment solve sees its own contiguous block.
 
     Raises:
         NumericalError: the squared distances of some pair overflow
@@ -421,16 +446,15 @@ def _solve_assignments(
     """
     m, k = a.m, len(targets)
     stacked = np.concatenate([b.centered for b in targets])
-    cost = _finite(cost_matrix(a.centered, stacked))
-    blocks = np.ascontiguousarray(cost.reshape(m, k, m).swapaxes(0, 1))
-    del cost
     sigma = np.empty((k, m), dtype=np.int64)
-    for t, b in enumerate(targets):
-        _, cols = linear_sum_assignment(blocks[t])
-        if a.has_duplicate_points or b.has_duplicate_points:
-            cols = _canonicalize_duplicate_ties(a, b, cols)
-        sigma[t] = cols
-    del blocks
+    for lo, hi, cost in cost_blocks(a.centered, stacked, [m] * k):
+        cost = _finite(cost).reshape(m, hi - lo, m).swapaxes(0, 1)
+        cost = np.ascontiguousarray(cost)  # per target; one is not copied
+        for t, b in enumerate(targets[lo:hi], lo):
+            _, cols = linear_sum_assignment(cost[t - lo])
+            if a.has_duplicate_points or b.has_duplicate_points:
+                cols = _canonicalize_duplicate_ties(a, b, cols)
+            sigma[t] = cols
 
     # A permutation plan puts one mass on every row, so its row sums are
     # exact and only its columns can be off.  The masses are all equal, so
@@ -616,26 +640,13 @@ def ordered_map(fn: Callable, items: Sequence, threads: int) -> list:
     return [fn(x) for x in items]
 
 
-# Largest cost block, in entries, that one batch of assignment solves holds
-# (8 bytes each, twice while the block is laid out per target).  Measured
-# on a Xeon with 2 MiB of L2 per core: whole rows of 20-point clouds solve
-# about twice as fast per pair as alone, batches of three or four
-# 100-point clouds a few per cent faster, and batches past L2 slower.
-_BLOCK_ENTRIES = 1 << 15
-
-
 def _row_units(a: Cloud, targets: Sequence[Cloud], threads: int) -> list[list[int]]:
-    """Target indices cut into work units: batches of assignment-path
-    targets, each under ``_BLOCK_ENTRIES`` and at least ``threads`` of them
-    when there are enough, then every other target on its own."""
+    """Target indices cut into work units: the assignment-path targets in
+    up to ``threads`` batches, then every other target on its own."""
     batched = [k for k, b in enumerate(targets) if _is_assignment(a, b)]
-    units = []
-    if batched:
-        per_unit = max(1, _BLOCK_ENTRIES // (a.m * a.m))
-        count = min(len(batched), max(threads, -(-len(batched) // per_unit)))
-        units = [u.tolist() for u in np.array_split(batched, count)]
-    done = set(batched)
-    return units + [[k] for k in range(len(targets)) if k not in done]
+    count = min(len(batched), threads)
+    alone = sorted(set(range(len(targets))).difference(batched))
+    return [batched[u::count] for u in range(count)] + [[k] for k in alone]
 
 
 def _solutions(a: Cloud, targets: list[Cloud]):

@@ -26,7 +26,7 @@ from .depth import (
     wsd_all,
     wsd_empirical,
 )
-from .errors import EmptyPopulation, InvalidParameter
+from .errors import InvalidParameter
 from .ot_core import Cloud, check_threads
 
 __all__ = [
@@ -398,7 +398,7 @@ class ExperimentConfig:
             raise InvalidParameter(
                 f"experiment {self.experiment!r} has no case {self.case}"
             )
-        min_n = 0 if self.experiment == "kernel_comparison" else 2
+        min_n = 1 if self.experiment == "kernel_comparison" else 2
         if self.n < min_n:
             raise InvalidParameter(f"n must be >= {min_n}, got {self.n}")
         if self.m < 1:
@@ -762,8 +762,6 @@ def run_kernel_comparison(config: ExperimentConfig) -> KernelComparisonResult:
     each depth.
     """
     _check_experiment(config, "kernel_comparison")
-    if config.n < 1:
-        raise EmptyPopulation("kernel comparison needs at least one regular cloud")
     wsd_hits = []
     kernel_hits = []
     rows = ()

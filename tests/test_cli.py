@@ -311,15 +311,17 @@ def test_cmd_depth_overflowing_coordinates_exit_three(tmp_path, capsys, recwarn)
 def test_python_dash_m_wsdepth_runs_quietly(small_csv, tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(wsdepth.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    out = tmp_path / "r.jsonl"
-    done = subprocess.run(
-        [sys.executable, "-m", "wsdepth", "depth", "--input", small_csv,
-         "--group-col", "group", "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stderr == ""
-    assert len(out.read_text().splitlines()) == 4
+    # `import wsdepth` must not import the CLI, or runpy warns on `-m wsdepth.cli`
+    for module in ("wsdepth", "wsdepth.cli"):
+        out = tmp_path / f"{module}.jsonl"
+        done = subprocess.run(
+            [sys.executable, "-m", module, "depth", "--input", small_csv,
+             "--group-col", "group", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, (module, done.stderr)
+        assert done.stderr == "", module
+        assert len(out.read_text().splitlines()) == 4
 
 
 def test_climate_shaped_ingestion_flags_eight(tmp_path):
@@ -478,8 +480,12 @@ def test_cmd_experiment_invalid_config_is_usage_error(tmp_path, capsys):
          "--n", "4", "--m", "5"],
         ["sample", "--experiment", "location_equivalence", "--d", "-2"],
         ["sample", "--experiment", "consistency", "--rep", "-1"],
+        ["experiment", "--experiment", "kernel_comparison", "--n", "0",
+         "--m", "5"],
+        ["sample", "--experiment", "kernel_comparison", "--n", "0"],
     ],
-    ids=["experiment-d-0", "sample-d-negative", "sample-rep-negative"],
+    ids=["experiment-d-0", "sample-d-negative", "sample-rep-negative",
+         "experiment-kernel-n-0", "sample-kernel-n-0"],
 )
 def test_bad_dimension_or_repetition_is_one_error_line(argv, tmp_path, capsys):
     out = tmp_path / "x"

@@ -431,10 +431,10 @@ def _gram_per_pair(clouds, bandwidth):
     return gram
 
 
-@pytest.mark.parametrize("block", [wsdepth.depth._GRAM_BLOCK_ENTRIES, 45, 1])
+@pytest.mark.parametrize("block", [wsdepth.ot_core._BLOCK_ENTRIES, 45, 1])
 def test_kernel_gram_matches_per_pair_blocks_bitwise(block, rng, monkeypatch):
     # the default block (one per row here), a few clouds per block, one each
-    monkeypatch.setattr(wsdepth.depth, "_GRAM_BLOCK_ENTRIES", block)
+    monkeypatch.setattr(wsdepth.ot_core, "_BLOCK_ENTRIES", block)
     clouds = [make_cloud(rng, m, 3, uniform=m % 2 == 0) for m in (5, 1, 7, 6, 12, 3, 4)]
     for bandwidth in (0.3, 1.0, 4.0):
         got = _embedding_gram(clouds, bandwidth)

@@ -27,7 +27,7 @@ from wsdepth import (
 )
 import wsdepth.depth
 import wsdepth.ot_core
-from wsdepth.ot_core import cost_matrix, plan_cost
+from wsdepth.ot_core import cost_blocks, cost_matrix, plan_cost
 
 from conftest import brute_force_assignment_cost, make_cloud, refuse_solves
 
@@ -428,6 +428,30 @@ def test_cost_matrix_equals_per_coordinate_loop_bitwise(data, d):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("limit", [1, 45, wsdepth.ot_core._BLOCK_ENTRIES])
+def test_cost_blocks_cover_the_targets_in_order_within_the_limit(limit, rng,
+                                                                 monkeypatch):
+    monkeypatch.setattr(wsdepth.ot_core, "_BLOCK_ENTRIES", limit)
+    x = rng.normal(size=(5, 3))
+    # ragged targets; 9 rows fill a 45-entry block exactly, and 12 rows (and
+    # at the default limit 7000 rows) overflow the limit alone
+    sizes = [4, 1, 9, 2, 7000, 3, 3, 1, 12]
+    targets = [rng.normal(size=(m, 3)) for m in sizes]
+    blocks = list(cost_blocks(x, np.concatenate(targets), sizes))
+    assert [lo for lo, _, _ in blocks] == [0] + [hi for _, hi, _ in blocks[:-1]]
+    assert blocks[-1][1] == len(sizes)
+    for lo, hi, cost in blocks:
+        assert hi > lo and cost.shape == (5, sum(sizes[lo:hi]))
+        assert cost.size <= limit or hi - lo == 1
+        if hi < len(sizes):  # the next target would not have fitted
+            assert cost.size + 5 * sizes[hi] > limit
+        col = 0
+        for k in range(lo, hi):
+            got = cost[:, col:col + sizes[k]]
+            assert got.tobytes() == cost_matrix(x, targets[k]).tobytes()
+            col += sizes[k]
+
+
 def test_cloud_centered_is_exact_cached_and_read_only(rng):
     c = make_cloud(rng, 7, 3, uniform=False)
     centered = c.centered
@@ -567,8 +591,8 @@ def test_row_path_matches_per_pair_solves_bitwise(kind, rng, monkeypatch):
                       lambda a, targets: [_assignment_per_pair(a, b) for b in targets])
         want = _row_outputs(clouds, 1)
         plans = [solve_ot(a, b) for a in clouds for b in clouds]
-    # the default block, and blocks of one target each
-    for block in (wsdepth.ot_core._BLOCK_ENTRIES, 1):
+    # the default block, blocks of one target each, and of up to three
+    for block in (wsdepth.ot_core._BLOCK_ENTRIES, 1, 3 * clouds[0].m ** 2):
         monkeypatch.setattr(wsdepth.ot_core, "_BLOCK_ENTRIES", block)
         for threads in (1, 2, 3):
             assert _row_outputs(clouds, threads) == want, (block, threads)

@@ -4,7 +4,6 @@ import pytest
 
 import wsdepth
 from wsdepth import (
-    EmptyPopulation,
     ExperimentConfig,
     InvalidParameter,
     UnsupportedPairing,
@@ -297,11 +296,8 @@ def test_sampling_supports_reference_scale():
 
 
 def test_run_kernel_comparison_rejects_empty_regulars():
-    cfg = ExperimentConfig(
-        experiment="kernel_comparison", case=1, n=0, m=40, seed=4
-    )
-    with pytest.raises(EmptyPopulation):
-        run_kernel_comparison(cfg)
+    with pytest.raises(InvalidParameter, match="n must be >= 1, got 0"):
+        ExperimentConfig(experiment="kernel_comparison", case=1, n=0, m=40, seed=4)
 
 
 def test_analytic_value_matches_case_formulas():
