@@ -25,7 +25,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     EmptyPopulation,
     InvalidParameter,
     NonpositiveBandwidth,
@@ -36,6 +35,7 @@ from .ot_core import (
     Cloud,
     Coupling,
     barycentric_map,
+    check_dimensions,
     check_threads,
     cost_blocks,
     pair_sweep,
@@ -74,7 +74,6 @@ class DepthReport:
     values: np.ndarray
     ranks: np.ndarray
     method: str
-    excluded_self: bool
     outlier_flags: np.ndarray
     threshold_quantile: float
 
@@ -97,7 +96,6 @@ def make_report(
     values: np.ndarray,
     method: str,
     threshold_quantile: float,
-    excluded_self: bool,
 ) -> DepthReport:
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
@@ -114,7 +112,6 @@ def make_report(
         values=values,
         ranks=ranks,
         method=method,
-        excluded_self=excluded_self,
         outlier_flags=flags,
         threshold_quantile=threshold_quantile,
     )
@@ -176,14 +173,6 @@ def _radicand(q: Cloud, acc: _NeumaierSum, n_div: int) -> float:
     return max(value, 0.0)
 
 
-def _check_population(q: Cloud, population: list[Cloud]) -> None:
-    for k, p in enumerate(population):
-        if p.d != q.d:
-            raise DimensionMismatch(
-                f"query has d={q.d} but population member {k} has d={p.d}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # Wasserstein spatial depth
 # ---------------------------------------------------------------------------
@@ -228,7 +217,7 @@ def _wsd_direct(
     indices = _others(len(pop), exclude)
     if not indices:
         raise EmptyPopulation("population is empty after exclusion")
-    _check_population(q, pop)
+    check_dimensions([q] + pop)
 
     acc = _NeumaierSum((q.m, q.d))
     members = [pop[i] for i in indices]
@@ -295,6 +284,9 @@ def wsd_empirical(
         DimensionMismatch: a member lives in a different dimension.
         InvalidParameter: ``threads < 1``, or ``exclude`` outside
             ``0..len(population) - 1``; raised before any plan is solved.
+        WsdError: a solve failed, typed as in ``solve_row`` and named
+            ``target k``, where ``k`` counts the members actually solved: the
+            population without ``exclude``.
     """
     return _wsd_direct(q, population, exclude, threads, single_member_rule=True)
 
@@ -318,7 +310,7 @@ def wsd_all(
     """
     clouds = _collection(data, threshold_quantile)
     values = _wsd_loo(clouds, threads, single_member_rule=True)
-    return make_report(values, "wsd", threshold_quantile, excluded_self=True)
+    return make_report(values, "wsd", threshold_quantile)
 
 
 def wsd_discrete(
@@ -340,6 +332,7 @@ def wsd_discrete(
 
     Raises:
         EmptyPopulation: the population is empty.
+        WsdError: a solve failed, named as in :func:`wsd_empirical`.
     """
     return _wsd_direct(q, population, None, threads, single_member_rule=False)
 
@@ -472,7 +465,7 @@ def _kernel_depth_from_gram(gram: np.ndarray, qi: int, members) -> float:
 def _kernel_loo(clouds: list[Cloud], bandwidth: float, queries) -> list[float]:
     """Kernel spatial depth of each query index against every other cloud."""
     check_bandwidth(bandwidth)
-    _check_population(clouds[-1], clouds)
+    check_dimensions(clouds)
     gram = _embedding_gram(clouds, bandwidth)
     return [
         _kernel_depth_from_gram(gram, qi, _others(len(clouds), qi)) for qi in queries
@@ -536,4 +529,4 @@ def compute_depths(
         reduce = _lens_from_matrix if method == "lens" else _metric_spatial_from_matrix
         dist = w2_matrix(clouds, threads=threads)
         values = [reduce(dist, qi, _others(n, qi)) for qi in range(n)]
-    return make_report(values, method, threshold_quantile, excluded_self=True)
+    return make_report(values, method, threshold_quantile)

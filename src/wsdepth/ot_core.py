@@ -23,7 +23,8 @@ from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -54,6 +55,7 @@ __all__ = [
     "cost_matrix",
     "cost_blocks",
     "check_threads",
+    "check_dimensions",
 ]
 
 # Construction and feasibility tolerances.
@@ -424,17 +426,12 @@ def _canonicalize_duplicate_ties(a: Cloud, b: Cloud, sigma: np.ndarray) -> np.nd
     return sigma
 
 
-def _is_assignment(a: Cloud, b: Cloud) -> bool:
-    """True when ``solve_ot`` takes the assignment path for ``a`` to ``b``."""
-    return a.d == b.d > 1 and a.m == b.m > 1 and a.is_uniform and b.is_uniform
-
-
 def _solve_assignments(
     a: Cloud, targets: Sequence[Cloud]
 ) -> list[tuple[Coupling, float]]:
     """Optimal permutation plans and their costs from ``a`` to each target.
 
-    Every pair must satisfy ``_is_assignment``.  The batch shares the cost
+    ``_path`` gives this solver for every pair.  The batch shares the cost
     blocks of ``cost_blocks`` and array-wide bookkeeping; each plan and
     cost equals what a batch of that target alone gives, bit for bit,
     because ``cdist`` and the cost terms are computed entry by entry and
@@ -491,13 +488,15 @@ def _solve_assignments(
 
 
 def _solve_replicated_assignment(a: Cloud, b: Cloud) -> Coupling:
-    """Exact plan for uniform clouds whose sizes divide: ``a.m == k * b.m``.
+    """Exact plan for uniform clouds whose sizes divide, either way round.
 
-    With integer supplies and demands (in units of ``1/a.m``) the
-    transportation polytope has an integral optimal vertex, so every source
-    atom ships its whole mass to a single target.  Duplicating each target
-    ``k`` times turns the problem into a plain assignment.
+    For ``a.m == k * b.m``, with integer supplies and demands (in units of
+    ``1/a.m``) the transportation polytope has an integral optimal vertex,
+    so every source atom ships its whole mass to a single target.
+    Duplicating each target ``k`` times turns it into a plain assignment.
     """
+    if a.m < b.m:
+        return _solve_replicated_assignment(b, a).transpose()
     k = a.m // b.m
     cost = np.repeat(_finite(cost_matrix(a.centered, b.centered)), k, axis=1)
     _, sigma = linear_sum_assignment(cost)
@@ -543,13 +542,29 @@ def _solve_lp(a: Cloud, b: Cloud) -> Coupling:
     return Coupling.from_arrays(idx // mb, idx % mb, x[idx], ma, mb)
 
 
+def _path(a: Cloud, b: Cloud) -> Callable:
+    """The exact solver for a pair of equal dimension.  The batch path,
+    ``_solve_assignments``, maps ``(a, targets)`` to ``(plan, cost)`` per
+    target; every other solver maps ``(a, b)`` to a plan."""
+    if a.d == 1:
+        return _solve_1d
+    if a.m == 1 or b.m == 1:
+        return _solve_point_mass
+    if a.is_uniform and b.is_uniform:
+        if a.m == b.m:
+            return _solve_assignments
+        if a.m % b.m == 0 or b.m % a.m == 0:
+            return _solve_replicated_assignment
+    return _solve_lp
+
+
 def solve_ot(a: Cloud, b: Cloud) -> Coupling:
     """Exact optimal transport plan between two clouds.
 
     Minimises ``sum_ij pi_ij * ||x_i - y_j||^2`` over couplings with the
     clouds' weights as marginals.  Uniform clouds of equal size go through
-    the assignment solver and always yield a permutation plan; everything
-    else goes through the exact 1-D or LP path.
+    the assignment solver and always yield a permutation plan; every other
+    pair goes through the exact solver that ``_path`` picks for it.
 
     Raises:
         DimensionMismatch: the clouds live in different dimensions.
@@ -558,20 +573,11 @@ def solve_ot(a: Cloud, b: Cloud) -> Coupling:
             the returned plan violates marginal feasibility beyond ``1e-9``
             (solver failure).
     """
-    if a.d != b.d:
-        raise DimensionMismatch(f"cloud dimensions differ: {a.d} vs {b.d}")
-    if _is_assignment(a, b):
+    check_dimensions([a, b])
+    solve = _path(a, b)
+    if solve is _solve_assignments:
         return _solve_assignments(a, [b])[0][0]
-    if a.d == 1:
-        plan = _solve_1d(a, b)
-    elif a.m == 1 or b.m == 1:
-        plan = _solve_point_mass(a, b)
-    elif a.is_uniform and b.is_uniform and a.m % b.m == 0:
-        plan = _solve_replicated_assignment(a, b)
-    elif a.is_uniform and b.is_uniform and b.m % a.m == 0:
-        plan = _solve_replicated_assignment(b, a).transpose()
-    else:
-        plan = _solve_lp(a, b)
+    plan = solve(a, b)
     _check_marginals(plan, a, b, MARGINAL_TOL)
     return plan
 
@@ -629,6 +635,15 @@ def check_threads(threads: int) -> int:
     return int(threads)
 
 
+def check_dimensions(clouds: Sequence[Cloud]) -> None:
+    """Raises ``DimensionMismatch`` unless all clouds share one dimension."""
+    for k, c in enumerate(clouds):
+        if c.d != clouds[0].d:
+            raise DimensionMismatch(
+                f"cloud 0 has d={clouds[0].d} but cloud {k} has d={c.d}"
+            )
+
+
 def ordered_map(fn: Callable, items: Sequence, threads: int) -> list:
     """``[fn(x) for x in items]``, computed by up to ``threads`` workers.
 
@@ -643,7 +658,7 @@ def ordered_map(fn: Callable, items: Sequence, threads: int) -> list:
 def _row_units(a: Cloud, targets: Sequence[Cloud], threads: int) -> list[list[int]]:
     """Target indices cut into work units: the assignment-path targets in
     up to ``threads`` batches, then every other target on its own."""
-    batched = [k for k, b in enumerate(targets) if _is_assignment(a, b)]
+    batched = [k for k, b in enumerate(targets) if _path(a, b) is _solve_assignments]
     count = min(len(batched), threads)
     alone = sorted(set(range(len(targets))).difference(batched))
     return [batched[u::count] for u in range(count)] + [[k] for k in alone]
@@ -657,7 +672,7 @@ def _solutions(a: Cloud, targets: list[Cloud]):
     first failing pair is the one that raises, after every earlier pair has
     been yielded.
     """
-    if _is_assignment(a, targets[0]):
+    if _path(a, targets[0]) is _solve_assignments:
         try:
             solved = _solve_assignments(a, targets)
         except Exception:
@@ -670,34 +685,34 @@ def _solutions(a: Cloud, targets: list[Cloud]):
         yield plan, plan_cost(plan, a, b)
 
 
-def _row(a: Cloud, targets: Sequence[Cloud], step: Callable, threads: int):
-    """``(outs, failure)`` for ``step(plan, cost, a, b)`` over the targets.
+def _row(
+    a: Cloud, targets: list[Cloud], step: Callable, threads: int, label: Callable
+) -> list:
+    """``[step(plan, cost, a, b) for b in targets]``, in work units; the
+    first failing target ``k`` raises as in :func:`pair_sweep`, named ``label(k)``."""
 
-    ``outs`` holds the results in target order; ``failure`` is ``None`` or
-    ``(k, exc)`` for the first target whose solve or step raised, in which
-    case ``outs`` is incomplete.
-    """
-
-    def run(unit: list[int]):
+    def run(unit: list[int]) -> list:
         solved = _solutions(a, [targets[k] for k in unit])
         outs = []
         for k in unit:
             try:
                 plan, cost = next(solved)
-                outs.append((k, step(plan, cost, a, targets[k])))
+                outs.append((k, step(plan, cost, a, targets[k]), None))
             except Exception as exc:
-                return outs, (k, exc)
-        return outs, None
+                return outs + [(k, None, exc)]
+        return outs
 
-    results = ordered_map(run, _row_units(a, targets, threads), threads)
-    failures = [failure for _, failure in results if failure is not None]
-    if failures:
-        return [], min(failures, key=lambda f: f[0])
-    outs = [None] * len(targets)
-    for unit_outs, _ in results:
-        for k, out in unit_outs:
-            outs[k] = out
-    return outs, None
+    # a unit stops at its first failure, (k, None, exc), so the first failure
+    # met in target order is the first failing target
+    units = ordered_map(run, _row_units(a, targets, threads), threads)
+    outs = []
+    for k, out, exc in sorted(chain.from_iterable(units), key=itemgetter(0)):
+        if isinstance(exc, WsdError):
+            raise type(exc)(f"{label(k)}: {exc}") from exc
+        if exc is not None:  # foreign, e.g. from SciPy
+            raise NumericalError(f"{label(k)}: {exc}") from exc
+        outs.append(out)
+    return outs
 
 
 def solve_row(
@@ -714,13 +729,14 @@ def solve_row(
 
     Raises:
         InvalidParameter: ``threads < 1``, before any solve.
-        Exception: whatever the first failing target's solve or ``step``
-            raised, unchanged.
+        DimensionMismatch: a target's dimension is not ``a``'s, before any solve.
+        WsdError: a solve or ``step`` failed, typed as in :func:`pair_sweep`,
+            with the first failing target named as ``target k``.
     """
-    outs, failure = _row(a, list(targets), step, check_threads(threads))
-    if failure is not None:
-        raise failure[1]
-    return outs
+    targets = list(targets)
+    threads = check_threads(threads)
+    check_dimensions([a] + targets)
+    return _row(a, targets, step, threads, "target {}".format)
 
 
 def pair_sweep(clouds: Sequence[Cloud], step: Callable, *, threads: int = 1):
@@ -737,26 +753,16 @@ def pair_sweep(clouds: Sequence[Cloud], step: Callable, *, threads: int = 1):
         InvalidParameter: ``threads < 1``, before any solve.
         DimensionMismatch: clouds of different dimensions, before any solve.
         WsdError: a solve or ``step`` failed, with the first failing pair
-            named; a ``WsdError`` keeps its type, any other exception
-            becomes a ``NumericalError``.
+            named as ``clouds (i, j)``; a ``WsdError`` keeps its type, any
+            other exception becomes a ``NumericalError``.
     """
     clouds = list(clouds)
     threads = check_threads(threads)
-    for k, c in enumerate(clouds):
-        if c.d != clouds[0].d:
-            raise DimensionMismatch(
-                f"cloud 0 has d={clouds[0].d} but cloud {k} has d={c.d}"
-            )
-
+    check_dimensions(clouds)
     for i in range(len(clouds)):
-        outs, failure = _row(clouds[i], clouds[i + 1:], step, threads)
-        if failure is not None:
-            k, exc = failure
-            where = f"clouds ({i}, {i + 1 + k}): {exc}"
-            if isinstance(exc, WsdError):
-                raise type(exc)(where) from exc
-            raise NumericalError(where) from exc  # foreign, e.g. from SciPy
-        for k, out in enumerate(outs):
+        row = _row(clouds[i], clouds[i + 1:], step, threads,
+                   lambda k: f"clouds ({i}, {i + 1 + k})")
+        for k, out in enumerate(row):
             yield i, i + 1 + k, out
 
 

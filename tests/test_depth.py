@@ -22,7 +22,7 @@ from wsdepth import (
     wsd_empirical,
 )
 from wsdepth.depth import _embedding_gram, _kernel_depth_from_gram, make_report
-from wsdepth.ot_core import cost_matrix
+from wsdepth.ot_core import cost_matrix, solve_row
 
 from conftest import make_cloud, refuse_solves, triple_sum_depth
 
@@ -157,14 +157,26 @@ def test_population_permutation_equivariance(rng):
     assert abs(wsd_empirical(q, shuffled) - base) <= 1e-12
 
 
+def test_row_order_leaves_depths_of_continuous_clouds_bit_identical(rng):
+    # Continuous clouds have unique optimal plans.  Lattice clouds are not
+    # pinned: there, tied optimal plans make wsd and wsd_discrete depend on
+    # row order and on SciPy's tie-break.
+    clouds = [make_cloud(rng, 30, 3) for _ in range(12)]
+    methods = ("wsd", "wsd_discrete", "lens", "metric_spatial")
+    want = {method: compute_depths(clouds, method).values for method in methods}
+    for k, cloud in enumerate(clouds):
+        reordered = list(clouds)
+        reordered[k] = Cloud(cloud.points[rng.permutation(cloud.m)])
+        for method in methods:
+            got = compute_depths(reordered, method).values
+            assert got.tobytes() == want[method].tobytes(), (k, method)
+
+
 def test_report_ranks_and_flags():
-    report = make_report(
-        np.array([0.4, 0.1, 0.9, 0.1]), "wsd", threshold_quantile=0.5,
-        excluded_self=True,
-    )
+    report = make_report(np.array([0.4, 0.1, 0.9, 0.1]), "wsd", threshold_quantile=0.5)
     np.testing.assert_array_equal(report.ranks, [3, 1, 4, 2])  # ties by index
     np.testing.assert_array_equal(report.outlier_flags, [False, True, False, True])
-    zero = make_report(np.array([0.4, 0.1]), "wsd", 0.0, True)
+    zero = make_report(np.array([0.4, 0.1]), "wsd", 0.0)
     assert not zero.outlier_flags.any()
 
 
@@ -513,3 +525,17 @@ def test_compute_depths_rejects_mixed_dimensions(method, rng):
     clouds = [make_cloud(rng, 4, 2) for _ in range(3)] + [make_cloud(rng, 4, 3)]
     with pytest.raises(DimensionMismatch):
         compute_depths(clouds, method)
+
+
+def test_single_queries_reject_mixed_dimensions_before_solving(rng, monkeypatch):
+    refuse_solves(monkeypatch)
+    clouds = [make_cloud(rng, 4, 2) for _ in range(3)] + [make_cloud(rng, 4, 3)]
+    # the odd member is checked even where ``exclude`` leaves it out
+    for run in (
+        lambda: wsd_empirical(clouds[0], clouds, exclude=3),
+        lambda: wsd_discrete(clouds[0], clouds),
+        lambda: kernel_spatial_depth(clouds[3], clouds[:3], 1.0),
+        lambda: solve_row(clouds[3], clouds[:3], lambda *args: None),
+    ):
+        with pytest.raises(DimensionMismatch):
+            run()

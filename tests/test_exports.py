@@ -1,9 +1,13 @@
-"""Every name the package and its modules export resolves."""
+"""Module boundaries: every exported name resolves, and no module of the
+package reaches into another module's private names."""
+import ast
 import importlib
+import pathlib
 
 import pytest
 
 MODULES = ["wsdepth", "wsdepth.analytic", "wsdepth.depth", "wsdepth.ot_core", "wsdepth.sim"]
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "wsdepth"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -13,3 +17,67 @@ def test_every_exported_name_resolves(name):
     assert missing == []
     assert len(set(module.__all__)) == len(module.__all__)
 
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _dotted(node):
+    """``a.b.c`` for a chain of names and attributes, else ``None``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return None if base is None else f"{base}.{node.attr}"
+    return None
+
+
+def _private_reach_ins(source: str) -> list:
+    """``(line, name)`` for each private name taken from another package
+    module: ``from .x import _name``, or ``x._name`` where ``x`` was bound by
+    importing a package module."""
+    tree = ast.parse(source)
+    modules = set()  # local names bound to the package or its modules
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "wsdepth"
+        ):
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append((node.lineno, alias.name))
+                if node.module in (None, "wsdepth"):  # from . import x
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "wsdepth":
+                    modules.add(alias.asname or alias.name.split(".")[0])
+    for node in ast.walk(tree):
+        base = _dotted(node.value) if isinstance(node, ast.Attribute) else None
+        if base is not None and base.split(".")[0] in modules and _private(node.attr):
+            found.append((node.lineno, f"{base}.{node.attr}"))
+    return sorted(found)
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    found = {
+        path.name: _private_reach_ins(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert len(found) >= len(MODULES)
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_reach_in_check_sees_both_forms():
+    source = (
+        "from .ot_core import Cloud, _path\n"
+        "from . import depth\n"
+        "import wsdepth.sim as sim\n"
+        "depth.check_threads, depth._field, sim._CASES, depth.__all__\n"
+        "import wsdepth.ot_core\n"
+        "wsdepth.ot_core._BLOCK_ENTRIES\n"
+    )
+    assert _private_reach_ins(source) == [
+        (1, "_path"), (4, "depth._field"), (4, "sim._CASES"),
+        (6, "wsdepth.ot_core._BLOCK_ENTRIES"),
+    ]

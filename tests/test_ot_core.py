@@ -27,7 +27,7 @@ from wsdepth import (
 )
 import wsdepth.depth
 import wsdepth.ot_core
-from wsdepth.ot_core import cost_blocks, cost_matrix, plan_cost
+from wsdepth.ot_core import cost_blocks, cost_matrix, plan_cost, solve_row
 
 from conftest import brute_force_assignment_cost, make_cloud, refuse_solves
 
@@ -182,6 +182,40 @@ def test_lp_and_assignment_paths_agree(rng):
         fast = w2_squared(a, b)
         slow = _lp_reference_cost(a, b)
         assert fast == pytest.approx(slow, abs=1e-9)
+
+
+def _assert_same_plan(got, want):
+    for field in ("rows", "cols", "mass", "permutation"):
+        g, w = getattr(got, field), getattr(want, field)
+        assert (g is None) == (w is None), field
+        if g is not None:
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), field
+
+
+@pytest.mark.parametrize(
+    "sizes, d, uniform, solver",
+    [
+        pytest.param((5, 5), 1, True, "_solve_1d", id="1-D equal"),
+        pytest.param((4, 6), 1, False, "_solve_1d", id="1-D weighted"),
+        pytest.param((1, 5), 2, True, "_solve_point_mass", id="point mass first"),
+        pytest.param((5, 1), 2, True, "_solve_point_mass", id="point mass second"),
+        pytest.param((6, 6), 2, True, "_solve_assignments", id="equal uniform"),
+        pytest.param((8, 4), 2, True, "_solve_replicated_assignment", id="replicated"),
+        pytest.param((4, 8), 2, True, "_solve_replicated_assignment",
+                     id="replicated the other way"),
+        pytest.param((4, 6), 2, True, "_solve_lp", id="ragged"),
+        pytest.param((5, 5), 2, False, "_solve_lp", id="weighted equal size"),
+    ],
+)
+def test_one_dispatch_picks_the_solver_for_solve_ot_and_the_row(
+    sizes, d, uniform, solver, rng
+):
+    a, b = (make_cloud(rng, m, d, uniform) for m in sizes)
+    assert wsdepth.ot_core._path(a, b) is getattr(wsdepth.ot_core, solver)
+    plan = solve_ot(a, b)
+    [(row_plan, row_cost)] = solve_row(a, [b], lambda plan, cost, a, b: (plan, cost))
+    _assert_same_plan(row_plan, plan)
+    assert row_cost.hex() == plan_cost(plan, a, b).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -361,17 +395,33 @@ def test_pair_failures_are_typed_and_name_the_pair(raised, expected, rng, monkey
     clouds = [make_cloud(rng, 3, 2) for _ in range(3)]
     # unequal sizes: every pair reaches solve_ot on its own (the LP path)
     ragged = [make_cloud(rng, m, 2) for m in (3, 4, 5)]
-    # the solve under w2_matrix, on both solver layers of a row, and the
-    # image step of the leave-one-out sweep, which runs after the pair's
-    # solve and cost
-    for module, name, run, collection in [
-        (wsdepth.ot_core, "solve_ot", w2_matrix, ragged),
-        (wsdepth.ot_core, "_solve_assignments", w2_matrix, clouds),
-        (wsdepth.depth, "barycentric_map", wsd_all, clouds),
+
+    # cloud 0 against the others, so target 0 is cloud 1; ``exclude`` leaves
+    # cloud 0 out of the full collection
+    def empirical(collection):
+        return wsd_empirical(collection[0], collection, exclude=0)
+
+    def discrete(collection):
+        return wsd_discrete(collection[0], collection[1:])
+
+    pair, single = r"clouds \(0, 1\)", "target 0"
+    # the solve under the sweep and under single queries, on both solver
+    # layers of a row, and the image step, which runs after the pair's solve
+    # and cost
+    for module, name, run, collection, where in [
+        (wsdepth.ot_core, "solve_ot", w2_matrix, ragged, pair),
+        (wsdepth.ot_core, "_solve_assignments", w2_matrix, clouds, pair),
+        (wsdepth.depth, "barycentric_map", wsd_all, clouds, pair),
+        (wsdepth.ot_core, "solve_ot", empirical, ragged, single),
+        (wsdepth.ot_core, "_solve_assignments", empirical, clouds, single),
+        (wsdepth.depth, "barycentric_map", empirical, clouds, single),
+        (wsdepth.ot_core, "solve_ot", discrete, ragged, single),
+        (wsdepth.ot_core, "_solve_assignments", discrete, clouds, single),
+        (wsdepth.depth, "barycentric_map", discrete, ragged, single),
     ]:
         with monkeypatch.context() as patch:
             patch.setattr(module, name, fail)
-            with pytest.raises(expected, match=r"^clouds \(0, 1\): ") as info:
+            with pytest.raises(expected, match=f"^{where}: ") as info:
                 run(collection)
         assert str(raised) in str(info.value)
 
@@ -597,12 +647,7 @@ def test_row_path_matches_per_pair_solves_bitwise(kind, rng, monkeypatch):
         for threads in (1, 2, 3):
             assert _row_outputs(clouds, threads) == want, (block, threads)
     for want_plan, (a, b) in zip(plans, [(a, b) for a in clouds for b in clouds]):
-        got = solve_ot(a, b)
-        for field in ("rows", "cols", "mass", "permutation"):
-            g, w = getattr(got, field), getattr(want_plan, field)
-            assert (g is None) == (w is None), field
-            if g is not None:
-                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), field
+        _assert_same_plan(solve_ot(a, b), want_plan)
 
 
 def _overflow_at(pair):
