@@ -87,9 +87,17 @@ def check_threshold(threshold_quantile: float) -> None:
 
 
 def check_bandwidth(bandwidth: float) -> None:
-    """Raises ``NonpositiveBandwidth`` unless the kernel bandwidth is > 0."""
+    """Raises ``NonpositiveBandwidth`` unless the kernel bandwidth is > 0
+    and its kernel scale ``0.5 / bandwidth**2`` is a nonzero finite float."""
     if not bandwidth > 0:
         raise NonpositiveBandwidth(f"bandwidth must be > 0, got {bandwidth}")
+    h = float(bandwidth)
+    square = h * h  # a Python float: overflow gives inf, without a warning
+    if not (square > 0.0 and 0.0 < 0.5 / square < math.inf):
+        raise NonpositiveBandwidth(
+            f"bandwidth {bandwidth} gives a kernel scale 0.5 / bandwidth**2"
+            " that is zero or not finite in float64"
+        )
 
 
 def make_report(
@@ -282,8 +290,9 @@ def wsd_empirical(
     Raises:
         EmptyPopulation: no members remain after exclusion.
         DimensionMismatch: a member lives in a different dimension.
-        InvalidParameter: ``threads < 1``, or ``exclude`` outside
-            ``0..len(population) - 1``; raised before any plan is solved.
+        InvalidParameter: ``threads`` not an integer >= 1, or ``exclude``
+            outside ``0..len(population) - 1``; raised before any plan is
+            solved.
         WsdError: a solve failed, typed as in ``solve_row`` and named
             ``target k``, where ``k`` counts the members actually solved: the
             population without ``exclude``.
@@ -305,8 +314,8 @@ def wsd_all(
 
     Raises:
         EmptyPopulation: fewer than two clouds.
-        InvalidParameter: a threshold outside [0, 1] or ``threads < 1``,
-            before any plan is solved.
+        InvalidParameter: a threshold outside [0, 1] or ``threads`` not an
+            integer >= 1, before any plan is solved.
     """
     clouds = _collection(data, threshold_quantile)
     values = _wsd_loo(clouds, threads, single_member_rule=True)
@@ -435,7 +444,8 @@ def _embedding_gram(clouds: Sequence[Cloud], bandwidth: float) -> np.ndarray:
     sizes = [c.m for c in clouds]
     for i, a in enumerate(clouds):
         for lo, hi, cost in cost_blocks(a.points, rest, sizes[i:]):
-            block, col = np.exp(scale * cost), 0
+            with np.errstate(over="ignore"):  # -inf: the kernel is exactly 0
+                block, col = np.exp(scale * cost), 0
             for k in range(i + lo, i + hi):
                 # copied contiguous: its weighted sum runs a lone block's BLAS
                 cut = np.ascontiguousarray(block[:, col:col + sizes[k]])
@@ -484,7 +494,8 @@ def kernel_spatial_depth(
     displacement in the embedding space, with zero displacements skipped.
 
     Raises:
-        NonpositiveBandwidth: ``bandwidth <= 0``.
+        NonpositiveBandwidth: ``bandwidth <= 0``, or ``0.5 / bandwidth**2``
+            zero or not finite.
         EmptyPopulation: the population is empty.
     """
     pop = list(population)
@@ -510,8 +521,9 @@ def compute_depths(
 
     Raises:
         InvalidParameter: an unknown method, a threshold outside [0, 1],
-            ``threads < 1`` or (kernel method) ``bandwidth <= 0``, all
-            before any transport plan is solved.
+            ``threads`` not an integer >= 1 or (kernel method) a bandwidth
+            that ``check_bandwidth`` rejects, all before any transport plan
+            is solved.
         EmptyPopulation: fewer than two clouds.
     """
     if method not in DEPTH_METHODS:

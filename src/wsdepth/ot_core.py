@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -157,6 +157,16 @@ class Cloud:
     @cached_property
     def has_duplicate_points(self) -> bool:
         return bool(self.duplicate_groups)
+
+    @cached_property
+    def has_repeated_coordinates(self) -> bool:
+        """True when some coordinate column holds a value twice.
+
+        Lattice data (counts, grids) does; then distinct atoms can tie in
+        cost against another such cloud.
+        """
+        column = np.sort(self.points, axis=0)
+        return bool((column[1:] == column[:-1]).any())
 
     @cached_property
     def centered(self) -> np.ndarray:
@@ -426,6 +436,27 @@ def _canonicalize_duplicate_ties(a: Cloud, b: Cloud, sigma: np.ndarray) -> np.nd
     return sigma
 
 
+def _reduced(cost: np.ndarray, m: int, skip: np.ndarray) -> np.ndarray:
+    """A ``cdist`` block of targets of ``m`` points each, laid out per target
+    and reduced: each target's row minima, then its column minima, are
+    subtracted, except on the targets marked in ``skip``.
+
+    Every permutation's total drops by the same amount, so in exact
+    arithmetic the optimal permutations stay the same, and the solver,
+    which starts from zero duals, starts nearer the optimum.  Rounding can
+    pick another of several tied optima, so pairs of two clouds with
+    repeated coordinate values, where distinct atoms tie, are skipped.
+    """
+    # reduceat takes short rows' minima several times faster than min(axis)
+    rows = np.minimum.reduceat(cost, np.arange(0, cost.shape[1], m), axis=1)
+    rows[:, skip] = 0.0
+    cost = cost.reshape(m, -1, m)
+    cost -= rows[:, :, None]
+    cols = cost.min(axis=0)
+    cols[skip] = 0.0
+    return np.subtract(cost.swapaxes(0, 1), cols[:, None, :], order="C")
+
+
 def _solve_assignments(
     a: Cloud, targets: Sequence[Cloud]
 ) -> list[tuple[Coupling, float]]:
@@ -434,8 +465,11 @@ def _solve_assignments(
     ``_path`` gives this solver for every pair.  The batch shares the cost
     blocks of ``cost_blocks`` and array-wide bookkeeping; each plan and
     cost equals what a batch of that target alone gives, bit for bit,
-    because ``cdist`` and the cost terms are computed entry by entry and
-    each assignment solve sees its own contiguous block.
+    because ``cdist``, the reduction and the cost terms are computed entry
+    by entry or per target, and each assignment solve sees its own
+    contiguous block.  A pair's block is reduced (``_reduced``) unless
+    both clouds have repeated coordinate values; its cost is still summed
+    from the points.
 
     Raises:
         NumericalError: the squared distances of some pair overflow
@@ -443,10 +477,11 @@ def _solve_assignments(
     """
     m, k = a.m, len(targets)
     stacked = np.concatenate([b.centered for b in targets])
+    lattice = a.has_repeated_coordinates
+    tied = np.array([lattice and b.has_repeated_coordinates for b in targets])
     sigma = np.empty((k, m), dtype=np.int64)
     for lo, hi, cost in cost_blocks(a.centered, stacked, [m] * k):
-        cost = _finite(cost).reshape(m, hi - lo, m).swapaxes(0, 1)
-        cost = np.ascontiguousarray(cost)  # per target; one is not copied
+        cost = _reduced(_finite(cost), m, tied[lo:hi])
         for t, b in enumerate(targets[lo:hi], lo):
             _, cols = linear_sum_assignment(cost[t - lo])
             if a.has_duplicate_points or b.has_duplicate_points:
@@ -628,11 +663,18 @@ def check_threads(threads: int) -> int:
     """Worker-thread count, validated once for every parallel path.
 
     Raises:
-        InvalidParameter: ``threads < 1``.
+        InvalidParameter: ``threads`` is not an integer (a NumPy integer
+            is one), or ``threads < 1``.
     """
-    if threads < 1:
+    try:
+        count = index(threads)
+    except TypeError:
+        raise InvalidParameter(
+            f"threads must be an integer, got {threads!r}"
+        ) from None
+    if count < 1:
         raise InvalidParameter(f"threads must be >= 1, got {threads}")
-    return int(threads)
+    return count
 
 
 def check_dimensions(clouds: Sequence[Cloud]) -> None:
@@ -728,7 +770,7 @@ def solve_row(
     of the thread count.
 
     Raises:
-        InvalidParameter: ``threads < 1``, before any solve.
+        InvalidParameter: ``threads`` not an integer >= 1, before any solve.
         DimensionMismatch: a target's dimension is not ``a``'s, before any solve.
         WsdError: a solve or ``step`` failed, typed as in :func:`pair_sweep`,
             with the first failing target named as ``target k``.
@@ -750,7 +792,7 @@ def pair_sweep(clouds: Sequence[Cloud], step: Callable, *, threads: int = 1):
     count.
 
     Raises:
-        InvalidParameter: ``threads < 1``, before any solve.
+        InvalidParameter: ``threads`` not an integer >= 1, before any solve.
         DimensionMismatch: clouds of different dimensions, before any solve.
         WsdError: a solve or ``step`` failed, with the first failing pair
             named as ``clouds (i, j)``; a ``WsdError`` keeps its type, any

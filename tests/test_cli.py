@@ -252,6 +252,10 @@ def test_cmd_depth_numerical_error_exit_code(tmp_path, capsys):
         ["--threshold", "2"],
         ["--method", "kernel-spatial", "--bandwidth", "0"],
         ["--method", "kernel-spatial", "--bandwidth", "-1"],
+        ["--method", "kernel-spatial", "--bandwidth", "1e-170"],
+        ["--method", "kernel-spatial", "--bandwidth", "1e-160"],
+        ["--method", "kernel-spatial", "--bandwidth", "inf"],
+        ["--method", "kernel-spatial", "--bandwidth", "1e200"],
     ],
 )
 def test_cmd_depth_bad_parameter_is_configuration_error(

@@ -503,6 +503,14 @@ def test_compute_depths_matches_direct_functions(rng):
         {"method": "wsd_discrete", "threads": -3},
         {"method": "kernel_spatial", "bandwidth": 0.0},
         {"method": "kernel_spatial", "bandwidth": -1.0},
+        {"threads": 1.5},
+        {"method": "lens", "threads": "2"},
+        {"method": "kernel_spatial", "threads": 1.5},
+        # 0.5 / bandwidth**2 is infinite or zero in float64
+        {"method": "kernel_spatial", "bandwidth": 1e-170},
+        {"method": "kernel_spatial", "bandwidth": 1e-160},
+        {"method": "kernel_spatial", "bandwidth": math.inf},
+        {"method": "kernel_spatial", "bandwidth": 1e200},
     ],
 )
 def test_compute_depths_rejects_parameters_before_solving(kwargs, rng, monkeypatch):
@@ -510,6 +518,14 @@ def test_compute_depths_rejects_parameters_before_solving(kwargs, rng, monkeypat
     clouds = [make_cloud(rng, 4, 2) for _ in range(4)]
     with pytest.raises(InvalidParameter):
         compute_depths(clouds, **kwargs)
+
+
+def test_kernel_depth_at_a_tiny_bandwidth_runs_clean(rng):
+    # the kernel of two distinct points underflows to exactly 0, without an
+    # overflow warning from the exponent
+    clouds = [make_cloud(rng, 4, 2) for _ in range(4)]
+    values = compute_depths(clouds, "kernel_spatial", bandwidth=1e-154).values
+    assert np.isfinite(values).all() and len(set(values.tolist())) == 1
 
 
 def test_direct_depths_reject_nonpositive_threads(rng):

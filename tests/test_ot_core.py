@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment, linprog
 
@@ -429,7 +429,7 @@ def test_pair_failures_are_typed_and_name_the_pair(raised, expected, rng, monkey
 def test_pair_sweep_rejects_nonpositive_threads(rng, monkeypatch):
     refuse_solves(monkeypatch)
     clouds = [make_cloud(rng, 3, 2) for _ in range(3)]
-    for threads in (0, -3):
+    for threads in (0, -3, 1.5, "2"):
         for run in (w2_matrix, wsd_all):
             with pytest.raises(InvalidParameter):
                 run(clouds, threads=threads)
@@ -580,6 +580,108 @@ def test_duplicate_groups_are_cached_ascending_and_read_only():
     assert not any(g.flags.writeable for g in groups)
     plain = Cloud(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert plain.duplicate_groups == () and not plain.has_duplicate_points
+
+
+def test_repeated_coordinates_are_cached_and_flag_lattice_clouds():
+    rng = np.random.default_rng(7)
+    grid = Cloud([[i, j] for i in range(4) for j in range(4)])
+    poisson = Cloud(rng.poisson(3.0, size=(30, 3)).astype(float))
+    continuous = Cloud(rng.normal(size=(30, 3)))
+    for cloud, want in ((grid, True), (poisson, True), (continuous, False)):
+        assert "has_repeated_coordinates" not in vars(cloud)
+        assert cloud.has_repeated_coordinates is want
+        assert vars(cloud)["has_repeated_coordinates"] is want
+    # one value repeated in one column is enough; distinct columns are not
+    assert Cloud(np.array([[0.0, 1.0], [2.0, 3.0], [0.0, 5.0]])).has_repeated_coordinates
+    assert not Cloud(np.array([[0.0, 0.0], [1.0, 1.0]])).has_repeated_coordinates
+
+
+def _unreduced_permutation(a, b):
+    """Reference: SciPy's assignment on the unreduced centred block, with
+    duplicate-atom ties settled as the solver settles them."""
+    _, cols = linear_sum_assignment(cost_matrix(a.centered, b.centered))
+    return wsdepth.ot_core._canonicalize_duplicate_ties(a, b, cols)
+
+
+@st.composite
+def assignment_pairs(draw, spacings, partners):
+    """Two equal-size clouds at scale ``2**j``, ``|j| <= 330``, either way
+    round: a clustered cloud against a partner from ``partners``.
+
+    A clustered cloud's atoms come in clusters whose members lie about
+    ``spacing`` times the scale apart.  A generic cloud is standard normal;
+    a lattice cloud has integer coordinates and an exactly duplicated atom.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, d = draw(st.integers(2, 16)), draw(st.integers(2, 4))
+    scale = 2.0 ** draw(st.integers(-330, 330))
+    spacing = draw(spacings)
+
+    def clustered():
+        centers = rng.normal(size=(draw(st.integers(1, m)), d))
+        points = centers[rng.integers(len(centers), size=m)]
+        return points + spacing * rng.normal(size=(m, d))
+
+    def generic():
+        return rng.normal(size=(m, d))
+
+    def lattice():
+        points = rng.integers(0, 3, size=(m, d)).astype(float)
+        points[0] = points[-1]
+        return points
+
+    kinds = {"clustered": clustered, "generic": generic, "lattice": lattice}
+    pair = [clustered(), kinds[draw(st.sampled_from(partners))]()]
+    if draw(st.booleans()):
+        pair.reverse()
+    return [Cloud(points * scale) for points in pair]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=assignment_pairs(st.sampled_from([1e-8, 1e-6, 1e-4, 1e-2, 1.0]),
+                             ["generic", "lattice"]))
+def test_reduced_solve_keeps_the_unreduced_permutation(pair):
+    a, b = pair
+    for cloud in pair:  # distinct atoms at least 1e-9 of the scale apart
+        gaps = cost_matrix(cloud.points, cloud.points)[np.triu_indices(cloud.m, 1)]
+        gaps = gaps[gaps > 0]
+        assume(not gaps.size or gaps.min() >= (1e-9 * np.abs(cloud.points).max()) ** 2)
+    assert not (a.has_repeated_coordinates and b.has_repeated_coordinates)
+    (plan, _), = wsdepth.ot_core._solve_assignments(a, [b])
+    assert plan.permutation.tolist() == _unreduced_permutation(a, b).tolist()
+
+
+# Near-duplicate atoms make optima that tie to rounding: swapping two of
+# them costs about their spacing times the spacing of their targets.  Which
+# tied optimum the solver returns already depends on rounding, and the
+# reduction can change it.  In a probe of 300 pairs of up to 16 atoms, with
+# near-duplicates on one side and a generic cloud on the other, it changed
+# 121 permutations at a spacing of 1e-15 of the scale, 2 at 1e-13 and none
+# from 1e-11 up; with near-duplicates on both sides, it still changed 9 at
+# 1e-7.  So for these pairs only the plans' costs are pinned.
+@settings(max_examples=150, deadline=None)
+@given(pair=st.one_of(
+    assignment_pairs(st.sampled_from([1e-16, 1e-15, 1e-14, 1e-13]),
+                     ["generic", "lattice"]),
+    assignment_pairs(st.sampled_from([1e-15, 1e-13, 1e-11, 1e-9, 1e-7]),
+                     ["clustered"]),
+))
+def test_reduced_solve_of_near_duplicates_is_optimal_to_rounding(pair):
+    a, b = pair
+    (plan, cost), = wsdepth.ot_core._solve_assignments(a, [b])
+    want = plan_cost(Coupling.from_permutation(_unreduced_permutation(a, b), a.weights),
+                     a, b)
+    assert cost == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_poisson_pairs_solve_the_unreduced_block():
+    # integer atoms tie in cost; reducing this pair's block would make SciPy
+    # return another of the tied optimal permutations
+    rng = np.random.default_rng(0)
+    a, b = (Cloud(rng.poisson(3.0, size=(50, 5)).astype(float)) for _ in range(2))
+    assert a.has_repeated_coordinates and b.has_repeated_coordinates
+    (plan, _), = wsdepth.ot_core._solve_assignments(a, [b])
+    assert plan.permutation.tolist() == _unreduced_permutation(a, b).tolist()
 
 
 def _duplicate_groups_per_pair(points):

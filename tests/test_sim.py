@@ -1,4 +1,6 @@
 """Samplers and experiment harnesses: determinism, families, trends."""
+import math
+
 import numpy as np
 import pytest
 
@@ -44,10 +46,12 @@ def test_config_rejects_bad_values():
         config(repetitions=0)
     with pytest.raises(InvalidParameter):
         config(threshold_quantile=1.5)
-    with pytest.raises(InvalidParameter):
-        config(bandwidth=0.0)
-    with pytest.raises(InvalidParameter):
-        config(threads=0)
+    for bandwidth in (0.0, 1e-170, 1e-160, math.inf, 1e200):
+        with pytest.raises(InvalidParameter):
+            config(bandwidth=bandwidth)
+    for threads in (0, 1.5, "2"):
+        with pytest.raises(InvalidParameter):
+            config(threads=threads)
     with pytest.raises(InvalidParameter):
         config(d=3)  # case 1 is one-dimensional
     for d in (0, -2):
