@@ -39,6 +39,7 @@ from .ot_core import (
     check_threads,
     cost_blocks,
     pair_sweep,
+    plan_cost,
     solve_row,
     w2_matrix,
 )
@@ -47,6 +48,7 @@ __all__ = [
     "DepthReport",
     "make_report",
     "wsd_empirical",
+    "wsd_query_family",
     "wsd_all",
     "wsd_discrete",
     "lens_depth",
@@ -209,12 +211,19 @@ def _wsd(q: Cloud, acc: _NeumaierSum, count: int, single_member_rule: bool) -> f
 
 
 def _wsd_direct(
-    q: Cloud,
+    queries: Sequence[Cloud],
     population: Sequence[Cloud],
     exclude: Optional[int],
     threads: int,
     single_member_rule: bool,
-) -> float:
+) -> list[float]:
+    """Depth of each query against the population, from one row of plans.
+
+    Only ``queries[0]`` is solved against the members; every other query
+    must be an image of it that keeps its optimal plans (``_check_family``),
+    and takes its fields from those plans, its own costs and the same
+    barycentric images.
+    """
     pop = list(population)
     if not pop:
         raise EmptyPopulation("population is empty")
@@ -225,14 +234,71 @@ def _wsd_direct(
     indices = _others(len(pop), exclude)
     if not indices:
         raise EmptyPopulation("population is empty after exclusion")
-    check_dimensions([q] + pop)
+    check_dimensions([queries[0]] + pop)
 
-    acc = _NeumaierSum((q.m, q.d))
+    def fields(plan: Coupling, cost: float, a: Cloud, b: Cloud) -> list:
+        # the images depend on the plan, the member and the shared weights
+        images = barycentric_map(plan, a, b)
+        costs = [cost] + [plan_cost(plan, q, b) for q in queries[1:]]
+        return [_unit_field(q.points, c, images) for q, c in zip(queries, costs)]
+
+    accs = [_NeumaierSum((q.m, q.d)) for q in queries]
     members = [pop[i] for i in indices]
-    for f in solve_row(q, members, _field, threads=threads):
-        if f is not None:
-            acc.add(f)
-    return _wsd(q, acc, len(indices), single_member_rule)
+    for row in solve_row(queries[0], members, fields, threads=threads):
+        for acc, f in zip(accs, row):
+            if f is not None:
+                acc.add(f)
+    return [_wsd(q, acc, len(indices), single_member_rule) for q, acc in zip(queries, accs)]
+
+
+# Largest residual of an image under its fitted map x -> s*x + c, relative
+# to the image's largest coordinate.
+_IMAGE_TOL = 1e-12
+
+
+def _is_image(first: Cloud, q: Cloud) -> bool:
+    """True when ``q`` is an image of ``first``, atom for atom, under a map
+    that keeps every optimal plan from ``first`` optimal.
+
+    In one dimension that is a nondecreasing map that merges no atoms:
+    ``q`` sorted by ``first``'s order stays sorted, with ties exactly where
+    ``first`` has them, so both sort alike.  In more, it is ``x -> s*x + c``
+    with ``s > 0``: under squared cost that adds row and column potentials
+    and scales the cross term by ``s``.  The map is fitted by least squares
+    on coordinates divided by each cloud's largest, so nothing overflows.
+    """
+    if q.d == 1:
+        x = first.points[first.sort_order_1d, 0]
+        y = q.points[first.sort_order_1d, 0]
+        ties = np.array_equal(y[1:] == y[:-1], x[1:] == x[:-1])
+        return ties and bool((y[1:] >= y[:-1]).all())
+    x, y = (c.points / (np.abs(c.points).max() or 1.0) for c in (first, q))
+    x = x - x.mean(axis=0)
+    y = y - y.mean(axis=0)
+    xx = float(np.sum(x * x))
+    s = float(np.sum(x * y)) / xx if xx > 0.0 else 1.0
+    return s > 0.0 and float(np.abs(y - s * x).max()) <= _IMAGE_TOL
+
+
+def _check_family(queries: Sequence[Cloud]) -> None:
+    """Raises ``InvalidParameter`` unless every query shares the first's
+    size, dimension and weights and is an image of it (``_is_image``)."""
+    if not queries:
+        raise InvalidParameter("a query family needs at least one query")
+    first = queries[0]
+    for k, q in enumerate(queries[1:], 1):
+        if q.points.shape != first.points.shape:
+            raise InvalidParameter(
+                f"query {k} has (m, d) = {q.points.shape}, query 0 has"
+                f" {first.points.shape}"
+            )
+        if not np.array_equal(q.weights, first.weights):
+            raise InvalidParameter(f"query {k} has other weights than query 0")
+        if not _is_image(first, q):
+            raise InvalidParameter(
+                f"query {k} is not an image of query 0 under a map that keeps"
+                " its transport plans"
+            )
 
 
 def _field(plan: Coupling, cost: float, a: Cloud, b: Cloud) -> Optional[np.ndarray]:
@@ -297,7 +363,45 @@ def wsd_empirical(
             ``target k``, where ``k`` counts the members actually solved: the
             population without ``exclude``.
     """
-    return _wsd_direct(q, population, exclude, threads, single_member_rule=True)
+    return _wsd_direct([q], population, exclude, threads, single_member_rule=True)[0]
+
+
+def wsd_query_family(
+    queries: Sequence[Cloud],
+    population: Sequence[Cloud],
+    *,
+    threads: int = 1,
+) -> list[float]:
+    """Spatial depth of several queries that are images of the first.
+
+    Moving a cloud by ``x -> s*x + c`` with ``s > 0`` keeps every optimal
+    plan from it optimal under squared cost, and in one dimension so does
+    any increasing map.  So only ``queries[0]`` is solved against the
+    population; every other query takes the same plans and barycentric
+    images, with its own transport costs.  Each value equals
+    ``wsd_empirical(queries[k], population)`` to the bit whenever that
+    call's own solve returns the same plan, and is otherwise the depth
+    from an optimal plan all the same.
+
+    Args:
+        queries: clouds of the first's size, dimension and weights (exactly
+            equal), each an image of it atom for atom: in one dimension,
+            sorted and tied where the first is; in more, ``s*x + c`` with
+            ``s > 0`` fitted by least squares, within ``1e-12`` of the
+            image's largest coordinate.
+        population: clouds sharing the queries' dimension.
+        threads: worker threads for the transport solves; the result is
+            identical for any value.
+
+    Raises:
+        InvalidParameter: no queries, or a query that breaks the conditions
+            above; raised before any plan is solved.
+        EmptyPopulation, DimensionMismatch, WsdError: as in
+            :func:`wsd_empirical`.
+    """
+    queries = list(queries)
+    _check_family(queries)
+    return _wsd_direct(queries, population, None, threads, single_member_rule=True)
 
 
 def wsd_all(
@@ -343,7 +447,7 @@ def wsd_discrete(
         EmptyPopulation: the population is empty.
         WsdError: a solve failed, named as in :func:`wsd_empirical`.
     """
-    return _wsd_direct(q, population, None, threads, single_member_rule=False)
+    return _wsd_direct([q], population, None, threads, single_member_rule=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -436,22 +540,36 @@ def metric_spatial_depth(q: Union[Cloud, int], population: Sequence[Cloud]) -> f
 
 
 def _embedding_gram(clouds: Sequence[Cloud], bandwidth: float) -> np.ndarray:
-    """Inner products of kernel mean embeddings for every cloud pair."""
+    """Inner products of kernel mean embeddings for every cloud pair.
+
+    Raises:
+        InvalidParameter: every kernel entry rounds to exactly 1 although
+            some points differ: the bandwidth is too large for the data, and
+            every depth would be 1.
+    """
     n = len(clouds)
     gram = np.zeros((n, n))
     scale = -0.5 / (bandwidth * bandwidth)
     rest = np.concatenate([c.points for c in clouds])  # points of clouds i..n-1
     sizes = [c.m for c in clouds]
+    collapsed, spread = True, False  # all entries 1 so far; a distance > 0 seen
     for i, a in enumerate(clouds):
         for lo, hi, cost in cost_blocks(a.points, rest, sizes[i:]):
             with np.errstate(over="ignore"):  # -inf: the kernel is exactly 0
                 block, col = np.exp(scale * cost), 0
+            collapsed = collapsed and bool((block == 1.0).all())
+            spread = spread or bool((cost > 0.0).any())
             for k in range(i + lo, i + hi):
                 # copied contiguous: its weighted sum runs a lone block's BLAS
                 cut = np.ascontiguousarray(block[:, col:col + sizes[k]])
                 gram[i, k] = gram[k, i] = float(a.weights @ cut @ clouds[k].weights)
                 col += sizes[k]
         rest = rest[a.m:]
+    if collapsed and spread:
+        raise InvalidParameter(
+            f"bandwidth {bandwidth:g} is too large for the data: every kernel"
+            " entry rounds to 1, so every depth would be 1"
+        )
     return gram
 
 
@@ -496,6 +614,8 @@ def kernel_spatial_depth(
     Raises:
         NonpositiveBandwidth: ``bandwidth <= 0``, or ``0.5 / bandwidth**2``
             zero or not finite.
+        InvalidParameter: a bandwidth so large that every kernel entry
+            rounds to 1 although some points differ.
         EmptyPopulation: the population is empty.
     """
     pop = list(population)
@@ -523,7 +643,8 @@ def compute_depths(
         InvalidParameter: an unknown method, a threshold outside [0, 1],
             ``threads`` not an integer >= 1 or (kernel method) a bandwidth
             that ``check_bandwidth`` rejects, all before any transport plan
-            is solved.
+            is solved; (kernel method) a bandwidth so large that every
+            kernel entry rounds to 1 although some points differ.
         EmptyPopulation: fewer than two clouds.
     """
     if method not in DEPTH_METHODS:

@@ -147,6 +147,8 @@ class Cloud:
         Only groups of two or more atoms are listed, in the lexicographic
         order of their coordinates.
         """
+        if not self.has_repeated_coordinates:
+            return ()  # two equal points repeat a value in every column
         _, inverse, counts = np.unique(
             self.points, axis=0, return_inverse=True, return_counts=True
         )

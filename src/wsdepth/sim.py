@@ -24,7 +24,7 @@ from .depth import (
     check_threshold,
     compute_depths,
     wsd_all,
-    wsd_empirical,
+    wsd_query_family,
 )
 from .errors import InvalidParameter
 from .ot_core import Cloud, check_threads
@@ -573,12 +573,17 @@ def run_consistency(
 
     Per repetition, a population of ``n`` clouds is drawn and a query cloud
     is sampled at each requested parameter; its empirical depth is compared
-    to the closed-form value.  With ``include_loo`` the leave-one-out depths
+    to the closed-form value.  A case's queries are images of one another
+    (a translation, a positive scale or, in one dimension, an increasing
+    map), so one ``wsd_query_family`` call per repetition solves the plans
+    of the first query only.  With ``include_loo`` the leave-one-out depths
     of the sampled clouds themselves are also measured against the closed
     form at their generating parameters.
 
     Raises:
-        InvalidParameter: ``config`` belongs to another experiment.
+        InvalidParameter: ``config`` belongs to another experiment, or (from
+            ``wsd_query_family``, before any plan is solved) the queries are
+            not images of the first.
         UnsupportedPairing: a query parameter has no closed-form depth;
             raised before anything is sampled or solved.
     """
@@ -586,15 +591,15 @@ def run_consistency(
     entry = _consistency_case(config.case)
     params = tuple(query_params) if query_params is not None else entry.queries
     analytic_values = [entry.depth(p) for p in params]
-    queries = {p: entry.query(p, config.m) for p in params}
+    family = [entry.query(p, config.m) for p in params]
     depths: dict[float, list[float]] = {p: [] for p in params}
     loo_gaps: list[float] = []
     for rep in range(config.repetitions):
         data = sample_two_stage(config, rep=rep)
-        for p in params:
-            depths[p].append(
-                wsd_empirical(queries[p], data.clouds, threads=config.threads)
-            )
+        if family:
+            values = wsd_query_family(family, data.clouds, threads=config.threads)
+            for p, value in zip(params, values):
+                depths[p].append(value)
         if include_loo:
             report = wsd_all(data.clouds, threads=config.threads)
             for i, value in enumerate(report.values):

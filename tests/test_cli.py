@@ -272,6 +272,20 @@ def test_cmd_depth_bad_parameter_is_configuration_error(
     assert not out.exists()
 
 
+def test_cmd_depth_refuses_a_bandwidth_that_collapses_the_kernel(
+    small_csv, tmp_path, capsys
+):
+    out = tmp_path / "x.jsonl"
+    argv = ["depth", "--input", small_csv, "--group-col", "group",
+            "--method", "kernel-spatial", "--out", str(out)]
+    assert main(argv + ["--bandwidth", "1e10"]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "1e+10" in lines[0]
+    assert not out.exists()
+    assert main(argv + ["--bandwidth", "1e5"]) == 0
+    assert out.exists()
+
+
 @pytest.mark.parametrize("delimiter", ["", ";;"], ids=["empty", "two-characters"])
 def test_cmd_depth_rejects_delimiter_not_one_character(
     delimiter, small_csv, tmp_path, capsys

@@ -20,6 +20,7 @@ from wsdepth import (
     wsd_all,
     wsd_discrete,
     wsd_empirical,
+    wsd_query_family,
 )
 from wsdepth.depth import _embedding_gram, _kernel_depth_from_gram, make_report
 from wsdepth.ot_core import cost_matrix, solve_row
@@ -528,6 +529,21 @@ def test_kernel_depth_at_a_tiny_bandwidth_runs_clean(rng):
     assert np.isfinite(values).all() and len(set(values.tolist())) == 1
 
 
+def test_kernel_depth_refuses_a_bandwidth_that_collapses_the_kernel(rng):
+    clouds = [make_cloud(rng, 4, 2) for _ in range(4)]
+    with pytest.raises(InvalidParameter, match=r"bandwidth 1e\+10 "):
+        compute_depths(clouds, "kernel_spatial", bandwidth=1e10)
+    with pytest.raises(InvalidParameter, match=r"bandwidth 1e\+10 "):
+        kernel_spatial_depth(clouds[0], clouds[1:], 1e10)
+    values = compute_depths(clouds, "kernel_spatial", bandwidth=1e5).values
+    assert (values < 1.0).any()
+    # where every point coincides the kernel is 1 at any bandwidth
+    same = [Cloud(np.ones((3, 2))) for _ in range(3)]
+    assert compute_depths(same, "kernel_spatial", bandwidth=1e10).values.tolist() == [
+        1.0, 1.0, 1.0
+    ]
+
+
 def test_direct_depths_reject_nonpositive_threads(rng):
     clouds = [make_cloud(rng, 4, 2) for _ in range(3)]
     with pytest.raises(InvalidParameter):
@@ -555,3 +571,66 @@ def test_single_queries_reject_mixed_dimensions_before_solving(rng, monkeypatch)
     ):
         with pytest.raises(DimensionMismatch):
             run()
+
+
+# ---------------------------------------------------------------------------
+# query families: one row of plans for images of the first query
+# ---------------------------------------------------------------------------
+
+
+def test_one_query_family_equals_wsd_empirical(rng):
+    for d, m, uniform in ((1, 7, False), (2, 6, True), (3, 5, False)):
+        q = make_cloud(rng, m, d, uniform)
+        pop = [make_cloud(rng, m + k % 2, d, uniform) for k in range(5)]
+        for threads in (1, 2):
+            assert wsd_query_family([q], pop, threads=threads) == [
+                wsd_empirical(q, pop)
+            ]
+
+
+def test_query_family_takes_translated_and_scaled_images(rng):
+    q = make_cloud(rng, 6, 2)
+    images = [q, Cloud(q.points + [0.5, -2.0]), Cloud(2.5 * q.points - 1.0)]
+    pop = [make_cloud(rng, 6, 2) for _ in range(5)] + [images[1]]
+    assert wsd_query_family(images, pop) == [wsd_empirical(c, pop) for c in images]
+
+
+def _grid(g):
+    u = (np.arange(g) + 0.5) / g
+    return np.column_stack([np.repeat(u, g), np.tile(u, g)])
+
+
+_FIRST_2D = Cloud(_grid(4))
+_FIRST_1D = Cloud([0.0, 1.0, 1.0, 2.0, 5.0])
+
+
+@pytest.mark.parametrize(
+    "first, other",
+    [
+        (_FIRST_2D, Cloud(_grid(4) ** 2)),  # not affine
+        (_FIRST_2D, Cloud(_grid(4)[:, ::-1])),  # a reflection, not s*x + c
+        (_FIRST_2D, Cloud(1.0 - _grid(4))),  # scale -1
+        (_FIRST_2D, Cloud(np.zeros((16, 2)) + 3.0)),  # scale 0
+        (_FIRST_1D, Cloud([0.0, 1.0, 1.0, 3.0, 2.5])),  # reorders atoms
+        (_FIRST_1D, Cloud([0.0, 1.0, 1.0, 1.0, 5.0])),  # merges ties
+        (_FIRST_1D, Cloud([0.0, 1.0, 1.5, 2.0, 5.0])),  # splits a tie
+        (_FIRST_1D, Cloud([0.0, 1.0, 1.0, 2.0])),  # another size
+        (_FIRST_1D, Cloud(_FIRST_1D.points, [0.3, 0.1, 0.2, 0.2, 0.2])),  # weights
+        (_FIRST_2D, Cloud(np.column_stack([_grid(4), _grid(4)[:, 0]]))),  # dimension
+    ],
+    ids=[
+        "squared", "reflected", "negative-scale", "zero-scale", "reordered",
+        "merged-ties", "split-tie", "size", "weights", "dimension",
+    ],
+)
+def test_query_family_guard_refuses_before_solving(first, other, rng, monkeypatch):
+    refuse_solves(monkeypatch)
+    pop = [Cloud(rng.normal(size=(first.m, first.d))) for _ in range(3)]
+    with pytest.raises(InvalidParameter):
+        wsd_query_family([first, first, other], pop)
+
+
+def test_query_family_guard_refuses_an_empty_family(rng, monkeypatch):
+    refuse_solves(monkeypatch)
+    with pytest.raises(InvalidParameter):
+        wsd_query_family([], [make_cloud(rng, 4, 2)])

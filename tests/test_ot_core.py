@@ -779,3 +779,30 @@ def test_overflowing_row_names_its_first_bad_pair(threads, rng):
 
     with pytest.raises(MarginalMismatch, match=r"^clouds \(0, 2\): step failed$"):
         list(wsdepth.ot_core.pair_sweep(fine + huge, step, threads=threads))
+
+
+def _unique_groups(points):
+    """Reference: duplicate groups from ``np.unique`` over whole rows."""
+    _, inverse, counts = np.unique(
+        points, axis=0, return_inverse=True, return_counts=True
+    )
+    inverse = inverse.reshape(-1)
+    return [np.flatnonzero(inverse == g).tolist() for g in np.flatnonzero(counts > 1)]
+
+
+def test_duplicate_groups_match_the_unique_rows_and_skip_it_without_repeats(
+    monkeypatch,
+):
+    rng = np.random.default_rng(11)
+    continuous = rng.normal(size=(40, 3))
+    lattice = rng.integers(0, 3, size=(40, 2)).astype(float)
+    duplicated = np.vstack([continuous[:10], continuous[3:7], continuous[:2]])
+    clouds = [continuous, lattice, duplicated, [[i, j] for i in range(4) for j in range(4)]]
+    for points in clouds:
+        got = [g.tolist() for g in Cloud(points).duplicate_groups]
+        assert got == _unique_groups(np.asarray(points, dtype=float))
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    assert Cloud(continuous).duplicate_groups == () and calls == []
+    assert [g.tolist() for g in Cloud(duplicated).duplicate_groups] != [] and calls

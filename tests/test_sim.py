@@ -17,7 +17,7 @@ from wsdepth import (
     sample_two_stage,
     substream,
 )
-from wsdepth.sim import analytic_value, query_cloud
+from wsdepth.sim import _consistency_case, analytic_value, query_cloud
 
 from conftest import refuse_solves
 
@@ -196,6 +196,43 @@ def test_run_consistency_loo_track():
     result = run_consistency(cfg, include_loo=True)
     assert result.loo_mean_abs_gap is not None
     assert 0.0 <= result.loo_mean_abs_gap <= 1.0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "case, m, query_m",
+    [(1, 30, 30), (2, 30, 30), (3, 100, 100), (4, 100, 100), (3, 50, 100), (4, 50, 100)],
+    ids=["1-D-exp", "1-D-weibull", "assignment-3", "assignment-4", "replicated-3",
+         "replicated-4"],
+)
+def test_query_family_equals_per_query_depths_bitwise(case, m, query_m, threads):
+    pop = sample_two_stage(config(case=case, n=6, m=m, seed=5)).clouds
+    queries = [query_cloud(case, p, m) for p in _consistency_case(case).queries]
+    assert {q.m for q in queries} == {query_m}
+    got = wsdepth.wsd_query_family(queries, pop, threads=threads)
+    want = [wsdepth.wsd_empirical(q, pop, threads=threads) for q in queries]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_run_consistency_takes_one_query_family_per_repetition(monkeypatch):
+    calls = []
+    family = wsdepth.sim.wsd_query_family
+
+    def counted(queries, population, *, threads):
+        calls.append(len(queries))
+        return family(queries, population, threads=threads)
+
+    monkeypatch.setattr(wsdepth.sim, "wsd_query_family", counted)
+    cfg = config(case=3, n=5, m=16, repetitions=3)
+    result = run_consistency(cfg)
+    assert calls == [4, 4, 4]
+    for row in result.rows:
+        query = query_cloud(3, row.parameter, 16)
+        per_query = [
+            wsdepth.wsd_empirical(query, sample_two_stage(cfg, rep=rep).clouds)
+            for rep in range(3)
+        ]
+        assert row.mean_empirical == float(np.mean(per_query))
 
 
 def test_run_consistency_is_deterministic():
