@@ -30,6 +30,7 @@ from .errors import (
     NonpositiveBandwidth,
     NumericalError,
     TooFewDistributions,
+    check_integer,
 )
 from .ot_core import (
     Cloud,
@@ -227,7 +228,7 @@ def _wsd_direct(
     pop = list(population)
     if not pop:
         raise EmptyPopulation("population is empty")
-    if exclude is not None and not 0 <= exclude < len(pop):
+    if exclude is not None and not 0 <= check_integer(exclude, "exclude") < len(pop):
         raise InvalidParameter(
             f"exclude must index the population 0..{len(pop) - 1}, got {exclude}"
         )
@@ -357,8 +358,8 @@ def wsd_empirical(
         EmptyPopulation: no members remain after exclusion.
         DimensionMismatch: a member lives in a different dimension.
         InvalidParameter: ``threads`` not an integer >= 1, or ``exclude``
-            outside ``0..len(population) - 1``; raised before any plan is
-            solved.
+            not an integer in ``0..len(population) - 1``; raised before any
+            plan is solved.
         WsdError: a solve failed, typed as in ``solve_row`` and named
             ``target k``, where ``k`` counts the members actually solved: the
             population without ``exclude``.

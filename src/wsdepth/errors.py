@@ -2,8 +2,10 @@
 
 Every error raised on purpose by this package derives from ``WsdError`` so
 callers (and the CLI) can map failure classes to exit codes without string
-matching.
+matching.  ``check_integer`` is the one rule for integer parameters.
 """
+from operator import index
+from typing import Optional
 
 
 class WsdError(Exception):
@@ -60,3 +62,20 @@ class EmptyGroup(WsdError):
 
 class NonFiniteValue(WsdError):
     """An input file contains a NaN or infinite coordinate."""
+
+
+def check_integer(value, name: str, least: Optional[int] = None) -> int:
+    """``value`` as an ``int``, checked by the one rule every integer
+    parameter shares.
+
+    Raises:
+        InvalidParameter: ``value`` is not an integer (a NumPy integer is
+            one, a float is not), or is below ``least``.
+    """
+    try:
+        number = index(value)
+    except TypeError:
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and number < least:
+        raise InvalidParameter(f"{name} must be >= {least}, got {value}")
+    return number

@@ -24,7 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
-from operator import index, itemgetter
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -39,6 +38,7 @@ from .errors import (
     MarginalMismatch,
     NumericalError,
     WsdError,
+    check_integer,
 )
 
 __all__ = [
@@ -475,7 +475,8 @@ def _solve_assignments(
 
     Raises:
         NumericalError: the squared distances of some pair overflow
-            float64, or a plan misses its marginals beyond ``1e-9``.
+            float64, or a plan misses its marginals beyond ``1e-9``.  Only
+            a batch of one shows its message: :func:`solve_row` re-solves.
     """
     m, k = a.m, len(targets)
     stacked = np.concatenate([b.centered for b in targets])
@@ -499,8 +500,7 @@ def _solve_assignments(
         - np.concatenate([b.weights for b in targets])
     )
     if col_err.max() > MARGINAL_TOL:
-        at = int(np.flatnonzero(col_err > MARGINAL_TOL)[0]) // m * m
-        raise _marginal_error(0.0, col_err[at:at + m].max(), MARGINAL_TOL)
+        raise _marginal_error(0.0, col_err.max(), MARGINAL_TOL)
 
     # plan_cost's terms for every entry of the batch, one sum per pair
     gathered = np.concatenate([b.points for b in targets])[flat_cols]
@@ -668,15 +668,7 @@ def check_threads(threads: int) -> int:
         InvalidParameter: ``threads`` is not an integer (a NumPy integer
             is one), or ``threads < 1``.
     """
-    try:
-        count = index(threads)
-    except TypeError:
-        raise InvalidParameter(
-            f"threads must be an integer, got {threads!r}"
-        ) from None
-    if count < 1:
-        raise InvalidParameter(f"threads must be >= 1, got {threads}")
-    return count
+    return check_integer(threads, "threads", 1)
 
 
 def check_dimensions(clouds: Sequence[Cloud]) -> None:
@@ -699,63 +691,42 @@ def ordered_map(fn: Callable, items: Sequence, threads: int) -> list:
     return [fn(x) for x in items]
 
 
-def _row_units(a: Cloud, targets: Sequence[Cloud], threads: int) -> list[list[int]]:
-    """Target indices cut into work units: the assignment-path targets in
-    up to ``threads`` batches, then every other target on its own."""
-    batched = [k for k, b in enumerate(targets) if _path(a, b) is _solve_assignments]
-    count = min(len(batched), threads)
-    alone = sorted(set(range(len(targets))).difference(batched))
-    return [batched[u::count] for u in range(count)] + [[k] for k in alone]
-
-
-def _solutions(a: Cloud, targets: list[Cloud]):
-    """``(plan, cost)`` for each target of a work unit in order, lazily.
-
-    A batch of assignment-path targets is solved at once; if that fails,
-    for whatever reason, its pairs are solved again one at a time, so the
-    first failing pair is the one that raises, after every earlier pair has
-    been yielded.
-    """
-    if _path(a, targets[0]) is _solve_assignments:
-        try:
-            solved = _solve_assignments(a, targets)
-        except Exception:
-            pass  # solved again pair by pair below
-        else:
-            yield from solved
-            return
-    for b in targets:
-        plan = solve_ot(a, b)
-        yield plan, plan_cost(plan, a, b)
-
-
 def _row(
     a: Cloud, targets: list[Cloud], step: Callable, threads: int, label: Callable
 ) -> list:
-    """``[step(plan, cost, a, b) for b in targets]``, in work units; the
-    first failing target ``k`` raises as in :func:`pair_sweep`, named ``label(k)``."""
+    """:func:`solve_row`'s work and failure rule, naming target ``k`` as
+    ``label(k)``."""
+
+    def pair(b: Cloud):
+        plan = solve_ot(a, b)
+        return step(plan, plan_cost(plan, a, b), a, b)
 
     def run(unit: list[int]) -> list:
-        solved = _solutions(a, [targets[k] for k in unit])
-        outs = []
-        for k in unit:
-            try:
-                plan, cost = next(solved)
-                outs.append((k, step(plan, cost, a, targets[k]), None))
-            except Exception as exc:
-                return outs + [(k, None, exc)]
-        return outs
+        batch = [targets[k] for k in unit]
+        if unit[0] in alone:
+            return [pair(batch[0])]
+        plans = _solve_assignments(a, batch)
+        return [step(plan, cost, a, b) for (plan, cost), b in zip(plans, batch)]
 
-    # a unit stops at its first failure, (k, None, exc), so the first failure
-    # met in target order is the first failing target
-    units = ordered_map(run, _row_units(a, targets, threads), threads)
+    batched = [k for k, b in enumerate(targets) if _path(a, b) is _solve_assignments]
+    alone = set(range(len(targets))).difference(batched)
+    count = min(len(batched), threads)
+    units = [batched[u::count] for u in range(count)] + [[k] for k in sorted(alone)]
+    try:
+        solved = ordered_map(run, units, threads)
+    except Exception:
+        pass  # solved again pair by pair below
+    else:
+        done = dict(zip(chain.from_iterable(units), chain.from_iterable(solved)))
+        return [done[k] for k in range(len(targets))]
     outs = []
-    for k, out, exc in sorted(chain.from_iterable(units), key=itemgetter(0)):
-        if isinstance(exc, WsdError):
+    for k, b in enumerate(targets):
+        try:
+            outs.append(pair(b))
+        except WsdError as exc:
             raise type(exc)(f"{label(k)}: {exc}") from exc
-        if exc is not None:  # foreign, e.g. from SciPy
+        except Exception as exc:  # foreign, e.g. from SciPy
             raise NumericalError(f"{label(k)}: {exc}") from exc
-        outs.append(out)
     return outs
 
 
@@ -767,15 +738,21 @@ def solve_row(
     ``plan`` is the optimal plan from ``a`` to ``b`` and ``cost`` its
     squared ``w2``, both exactly as ``solve_ot`` and ``plan_cost`` give
     them.  Targets on the assignment path (uniform, as many points as
-    ``a``) share cost blocks; every other target is solved on its own.  Up
-    to ``threads`` workers share the work, and every value is independent
+    ``a``) are solved in up to ``threads`` batches over shared cost blocks;
+    every other target is solved on its own.  Every value is independent
     of the thread count.
+
+    One failure rule: if any solve or ``step`` raises, the row is solved
+    again pair by pair in target order, which gives the same bits, and the
+    first pair that fails there raises.  So the pair named depends neither
+    on ``threads`` nor on how the row was batched.
 
     Raises:
         InvalidParameter: ``threads`` not an integer >= 1, before any solve.
         DimensionMismatch: a target's dimension is not ``a``'s, before any solve.
-        WsdError: a solve or ``step`` failed, typed as in :func:`pair_sweep`,
-            with the first failing target named as ``target k``.
+        WsdError: the first failing target, named as ``target k``; a
+            ``WsdError`` keeps its type, any other exception becomes a
+            ``NumericalError``.
     """
     targets = list(targets)
     threads = check_threads(threads)
@@ -788,17 +765,16 @@ def pair_sweep(clouds: Sequence[Cloud], step: Callable, *, threads: int = 1):
 
     Yields ``(i, j, step(plan, cost, clouds[i], clouds[j]))`` for ``i < j``
     in row-major order, where ``plan`` is the optimal plan from cloud ``i``
-    to cloud ``j`` and ``cost`` its squared ``w2``.  Each row is solved as
-    in :func:`solve_row`; only ``step``'s results are kept, and only until
-    the row has been yielded.  Every value is independent of the thread
-    count.
+    to cloud ``j`` and ``cost`` its squared ``w2``.  Each row is solved,
+    and fails, as in :func:`solve_row`; only ``step``'s results are kept,
+    and only until the row has been yielded.  Every value is independent of
+    the thread count.
 
     Raises:
         InvalidParameter: ``threads`` not an integer >= 1, before any solve.
         DimensionMismatch: clouds of different dimensions, before any solve.
-        WsdError: a solve or ``step`` failed, with the first failing pair
-            named as ``clouds (i, j)``; a ``WsdError`` keeps its type, any
-            other exception becomes a ``NumericalError``.
+        WsdError: the first failing pair of the first failing row, named as
+            ``clouds (i, j)`` and typed as in :func:`solve_row`.
     """
     clouds = list(clouds)
     threads = check_threads(threads)

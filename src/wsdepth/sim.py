@@ -26,7 +26,7 @@ from .depth import (
     wsd_all,
     wsd_query_family,
 )
-from .errors import InvalidParameter
+from .errors import InvalidParameter, check_integer
 from .ot_core import Cloud, check_threads
 
 __all__ = [
@@ -394,22 +394,18 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; choose from"
                 f" {', '.join(EXPERIMENTS)}"
             )
+        check_integer(self.case, "case")
         if (self.experiment, self.case) not in _CASES:
             raise InvalidParameter(
                 f"experiment {self.experiment!r} has no case {self.case}"
             )
         min_n = 1 if self.experiment == "kernel_comparison" else 2
-        if self.n < min_n:
-            raise InvalidParameter(f"n must be >= {min_n}, got {self.n}")
-        if self.m < 1:
-            raise InvalidParameter(f"m must be >= 1, got {self.m}")
-        if self.d is not None and self.d < 1:
-            raise InvalidParameter(f"d must be >= 1, got {self.d}")
-        if self.repetitions < 1:
-            raise InvalidParameter(
-                f"repetitions must be >= 1, got {self.repetitions}"
-            )
-        if not 0 <= self.seed < 2**64:
+        check_integer(self.n, "n", min_n)
+        check_integer(self.m, "m", 1)
+        if self.d is not None:
+            check_integer(self.d, "d", 1)
+        check_integer(self.repetitions, "repetitions", 1)
+        if not 0 <= check_integer(self.seed, "seed") < 2**64:
             raise InvalidParameter("seed must fit in 64 unsigned bits")
         check_threshold(self.threshold_quantile)
         check_bandwidth(self.bandwidth)
@@ -471,10 +467,9 @@ def sample_two_stage(config: ExperimentConfig, rep: int = 0) -> DataArray:
     """Draw ``n`` population clouds of ``m`` points for one repetition.
 
     Raises:
-        InvalidParameter: ``rep < 0``.
+        InvalidParameter: ``rep`` is not an integer >= 0.
     """
-    if rep < 0:
-        raise InvalidParameter(f"repetition must be >= 0, got {rep}")
+    check_integer(rep, "repetition", 0)
     population = _CASES[config.experiment, config.case].population
     d = config.resolved_d
     clouds = []
@@ -514,6 +509,7 @@ def sample_experiment(config: ExperimentConfig, rep: int = 0) -> list[Cloud]:
 # ---------------------------------------------------------------------------
 
 def _consistency_case(case: int) -> _Case:
+    check_integer(case, "case")
     try:
         return _CASES["consistency", case]
     except KeyError:
@@ -531,10 +527,12 @@ def query_cloud(case: int, param: float, m: int) -> Cloud:
     vanish with the population size.
 
     Raises:
-        InvalidParameter: ``case`` is not a consistency case.
+        InvalidParameter: ``case`` is not a consistency case, or ``m`` is
+            not an integer >= 1.
         UnsupportedPairing: ``param`` has no closed-form depth in the case.
     """
     entry = _consistency_case(case)
+    check_integer(m, "m", 1)
     entry.depth(param)  # the case's parameter domain is its closed form's
     return entry.query(param, m)
 
@@ -592,21 +590,21 @@ def run_consistency(
     params = tuple(query_params) if query_params is not None else entry.queries
     analytic_values = [entry.depth(p) for p in params]
     family = [entry.query(p, config.m) for p in params]
-    depths: dict[float, list[float]] = {p: [] for p in params}
+    depths: list[list[float]] = [[] for _ in params]  # per query, by repetition
     loo_gaps: list[float] = []
     for rep in range(config.repetitions):
         data = sample_two_stage(config, rep=rep)
         if family:
             values = wsd_query_family(family, data.clouds, threads=config.threads)
-            for p, value in zip(params, values):
-                depths[p].append(value)
+            for column, value in zip(depths, values):
+                column.append(value)
         if include_loo:
             report = wsd_all(data.clouds, threads=config.threads)
             for i, value in enumerate(report.values):
                 loo_gaps.append(abs(value - entry.depth(data.params[i])))
     rows = []
-    for p, closed_form in zip(params, analytic_values):
-        obs = np.asarray(depths[p])
+    for p, closed_form, column in zip(params, analytic_values, depths):
+        obs = np.asarray(column)
         sd = float(obs.std(ddof=1)) if obs.size > 1 else 0.0
         rows.append(
             ConsistencyRow(

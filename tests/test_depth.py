@@ -88,7 +88,10 @@ def test_empty_population_raises(rng):
         wsd_all([q])
 
 
-@pytest.mark.parametrize("exclude", [4, -1, -3], ids=["len", "minus-1", "minus-3"])
+@pytest.mark.parametrize(
+    "exclude", [4, -1, -3, 1.5, 1.0, "1"],
+    ids=["len", "minus-1", "minus-3", "float", "integral-float", "string"],
+)
 def test_exclude_outside_the_population_is_rejected_before_solving(
     exclude, rng, monkeypatch
 ):

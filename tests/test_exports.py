@@ -81,3 +81,44 @@ def test_the_reach_in_check_sees_both_forms():
         (1, "_path"), (4, "depth._field"), (4, "sim._CASES"),
         (6, "wsdepth.ot_core._BLOCK_ENTRIES"),
     ]
+
+
+def _unused_imports(source: str) -> list:
+    """``(line, name)`` for each module-level import that the module never
+    uses and does not list in ``__all__``."""
+    tree = ast.parse(source)
+    imported, exported = [], set()
+    for node in tree.body:
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                imported.append((node.lineno, alias.asname or alias.name.split(".")[0]))
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in imported if name not in used | exported]
+
+
+def test_no_module_keeps_an_unused_import():
+    found = {
+        path.name: _unused_imports(path.read_text())
+        for path in sorted(PACKAGE.glob("*.py"))
+    }
+    assert len(found) >= len(MODULES)
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_unused_import_check_sees_a_leftover():
+    source = (
+        "from __future__ import annotations\n"
+        "from operator import index, itemgetter\n"
+        "import scipy.sparse\n"
+        "import numpy as np\n"
+        "from .errors import WsdError\n"
+        "__all__ = ['WsdError']\n"
+        "index(scipy.sparse.csr_matrix)\n"
+    )
+    assert _unused_imports(source) == [(2, "itemgetter"), (4, "np")]

@@ -781,6 +781,36 @@ def test_overflowing_row_names_its_first_bad_pair(threads, rng):
         list(wsdepth.ot_core.pair_sweep(fine + huge, step, threads=threads))
 
 
+@pytest.mark.parametrize("kind", ["equal", "mixed-size"])
+def test_a_failed_batch_is_solved_again_pair_by_pair(kind, rng, monkeypatch):
+    """A row whose batch raises, here a foreign error on every batch of two
+    or more targets, is solved again pair by pair to the same bits."""
+    clouds = _row_collection(kind, rng)
+
+    def outputs(threads):
+        return [
+            w2_matrix(clouds, threads=threads).tobytes(),
+            wsd_all(clouds, threads=threads).values.tobytes(),
+            wsd_empirical(clouds[1], clouds, exclude=1, threads=threads),
+        ]
+
+    want = {threads: outputs(threads) for threads in (1, 2, 3)}
+    batch, failed = wsdepth.ot_core._solve_assignments, []
+
+    def alone_only(a, targets):
+        if len(targets) > 1:
+            failed.append(len(targets))
+            raise MemoryError("batch too large")
+        return batch(a, targets)
+
+    monkeypatch.setattr(wsdepth.ot_core, "_solve_assignments", alone_only)
+    for threads in (1, 2, 3):
+        assert outputs(threads) == want[threads], threads
+        # batches did fail; at three threads the mixed rows hold batches of one
+        assert failed or (kind, threads) == ("mixed-size", 3)
+        failed.clear()
+
+
 def _unique_groups(points):
     """Reference: duplicate groups from ``np.unique`` over whole rows."""
     _, inverse, counts = np.unique(

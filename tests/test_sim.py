@@ -198,6 +198,40 @@ def test_run_consistency_loo_track():
     assert 0.0 <= result.loo_mean_abs_gap <= 1.0
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", 4.0), ("m", 3.5), ("d", 2.5), ("repetitions", 1.5), ("seed", 1.5),
+     ("case", 1.0), ("case", "1")],
+)
+def test_config_refuses_integer_fields_that_are_not_integers(field, value):
+    base = dict(experiment="location_equivalence", case=1, n=4, m=5, d=2, seed=1)
+    with pytest.raises(InvalidParameter, match=f"^{field} must be an integer"):
+        ExperimentConfig(**{**base, field: value})
+    assert ExperimentConfig(**{**base, field: np.int64(1 if field == "case" else 3)})
+
+
+@pytest.mark.parametrize("rep", [1.5, 1.0, "1"])
+def test_sampling_refuses_a_repetition_that_is_not_an_integer(rep, monkeypatch):
+    monkeypatch.setattr(wsdepth.sim, "substream", _refuse)
+    with pytest.raises(InvalidParameter, match="^repetition must be an integer"):
+        sample_two_stage(config(), rep=rep)
+    with pytest.raises(InvalidParameter, match="^repetition must be an integer"):
+        sample_experiment(config(experiment="outliers"), rep=rep)
+
+
+def test_consistency_lookups_refuse_parameters_that_are_not_integers():
+    for case in (1.0, "1"):
+        with pytest.raises(InvalidParameter, match="^case must be an integer"):
+            analytic_value(case, 0.5)
+        with pytest.raises(InvalidParameter, match="^case must be an integer"):
+            query_cloud(case, 0.5, 8)
+    for case, param in ((1, 0.5), (3, 1.0)):
+        with pytest.raises(InvalidParameter, match="^m must be an integer"):
+            query_cloud(case, param, 2.5)
+        with pytest.raises(InvalidParameter, match="^m must be >= 1, got 0$"):
+            query_cloud(case, param, 0)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize(
     "case, m, query_m",
@@ -233,6 +267,13 @@ def test_run_consistency_takes_one_query_family_per_repetition(monkeypatch):
             for rep in range(3)
         ]
         assert row.mean_empirical == float(np.mean(per_query))
+
+
+def test_run_consistency_keeps_repeated_query_parameters_apart():
+    cfg = config(case=4, n=4, m=9, repetitions=2, seed=1)
+    single, = run_consistency(cfg, query_params=[1.5]).rows
+    assert single.repetitions == 2
+    assert run_consistency(cfg, query_params=[1.5, 1.5]).rows == (single, single)
 
 
 def test_run_consistency_is_deterministic():
