@@ -7,8 +7,9 @@ solved exactly, never with entropic smoothing:
   optimal for any convex cost and costs ``O(m log m)``;
 * uniform clouds of equal size: the linear assignment problem, solved by
   the Jonker-Volgenant implementation in SciPy;
-* general weights: a sparse transportation LP handed to the HiGHS simplex
-  with tightened feasibility tolerances, which returns a basic (vertex)
+* general weights: a sparse transportation LP handed to the HiGHS dual
+  simplex through SciPy's bundled binding, with ``linprog``'s options and
+  tightened feasibility tolerances, which returns a basic (vertex)
   solution with at most ``m_a + m_b - 1`` entries.
 
 All transport costs are totalled with ``math.fsum`` so the reported value
@@ -27,9 +28,16 @@ from itertools import accumulate, chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.sparse
-from scipy.optimize import linear_sum_assignment, linprog
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:  # SciPy < 1.15
+    raise ImportError(
+        "wsdepth needs SciPy >= 1.15: it solves transport LPs through"
+        " SciPy's HiGHS binding, scipy.optimize._highspy._core"
+    ) from exc
 
 from .errors import (
     DimensionMismatch,
@@ -543,40 +551,80 @@ def _solve_replicated_assignment(a: Cloud, b: Cloud) -> Coupling:
     )
 
 
-def _marginal_constraints(ma: int, mb: int) -> scipy.sparse.csr_matrix:
-    """Row-sum then column-sum constraints on a row-major ``ma x mb`` plan."""
+def _marginal_constraints(ma: int, mb: int):
+    """Row-sum then column-sum constraints on a row-major ``ma x mb`` plan,
+    as CSC ``(start, index, value)`` arrays: column ``i * mb + j`` holds
+    rows ``i`` and ``ma + j``, each with value 1."""
     n = ma * mb
-    var = np.arange(n, dtype=np.int32)
-    indptr = np.concatenate(
-        [np.arange(0, n + 1, mb, dtype=np.int32),
-         n + np.arange(ma, n + 1, ma, dtype=np.int32)]
+    index = np.empty((ma, mb, 2), dtype=np.int32)
+    index[:, :, 0] = np.arange(ma, dtype=np.int32)[:, None]
+    index[:, :, 1] = np.arange(ma, ma + mb, dtype=np.int32)
+    return np.arange(0, 2 * n + 1, 2, dtype=np.int32), index.ravel(), np.ones(2 * n)
+
+
+def _lp_options():
+    """The HiGHS options that ``linprog(method="highs")`` sets, with both
+    feasibility tolerances at 1e-10; HiGHS keeps its defaults for the
+    rest.  ``_LP_OPTIONS`` holds the one set every solve reads."""
+    options = _highs.HighsOptions()
+    options.presolve = "on"
+    options.primal_feasibility_tolerance = 1e-10
+    options.dual_feasibility_tolerance = 1e-10
+    options.simplex_strategy = (
+        _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
     )
-    indices = np.concatenate([var, var.reshape(ma, mb).T.ravel()])
-    return scipy.sparse.csr_matrix(
-        (np.ones(2 * n), indices, indptr), shape=(ma + mb, n)
+    options.highs_debug_level = _highs.kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    return options
+
+
+_LP_OPTIONS = _lp_options()
+
+
+def _transport_vertex(
+    cost: np.ndarray, supply: np.ndarray, demand: np.ndarray
+) -> np.ndarray:
+    """The row-major plan ``x`` of the transportation LP with this
+    ``(ma, mb)`` cost and these marginals, solved as
+    ``linprog(method="highs")`` solves it: the same model, handed to the
+    same binding with the same options, so HiGHS returns the same vertex
+    bit for bit.
+
+    Raises:
+        NumericalError: HiGHS ends with any model status but optimal.
+    """
+    ma, mb = cost.shape
+    n = ma * mb
+    lp = _highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = ma + mb
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = (
+        _marginal_constraints(ma, mb)
     )
+    lp.col_cost_ = cost.ravel()
+    lp.col_lower_ = np.zeros(n)
+    lp.col_upper_ = np.full(n, np.inf)
+    lp.row_lower_ = lp.row_upper_ = np.concatenate([supply, demand])
+    # A fresh solver per LP: a reused one warm-starts from its last basis.
+    solver = _highs._Highs()
+    solver.passOptions(_LP_OPTIONS)
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise NumericalError(
+            f"transport LP failed: {solver.modelStatusToString(status)}"
+        )
+    return np.array(solver.getSolution().col_value)
 
 
 def _solve_lp(a: Cloud, b: Cloud) -> Coupling:
     cost = _finite(cost_matrix(a.points, b.points))
-    ma, mb = a.m, b.m
-    res = linprog(
-        cost.ravel(),
-        A_eq=_marginal_constraints(ma, mb),
-        b_eq=np.concatenate([a.weights, b.weights]),
-        bounds=(0, None),
-        method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
-    if res.status != 0:
-        raise NumericalError(f"transport LP failed: {res.message}")
-    x = res.x
-    keep = x > _LP_MASS_FLOOR
-    idx = np.flatnonzero(keep)
-    return Coupling.from_arrays(idx // mb, idx % mb, x[idx], ma, mb)
+    x = _transport_vertex(cost, a.weights, b.weights)
+    idx = np.flatnonzero(x > _LP_MASS_FLOOR)
+    return Coupling.from_arrays(idx // b.m, idx % b.m, x[idx], a.m, b.m)
 
 
 def _path(a: Cloud, b: Cloud) -> Callable:

@@ -1,5 +1,7 @@
 """Exact transport solver: examples, oracles, and invariants."""
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -529,12 +531,87 @@ def stacked_constraints(ma, mb):
 )
 def test_lp_constraints_equal_the_stacked_build(ma, mb):
     got = wsdepth.ot_core._marginal_constraints(ma, mb)
-    want = stacked_constraints(ma, mb)
-    assert got.shape == want.shape
-    for name in ("indptr", "indices", "data"):
-        g, w = getattr(got, name), getattr(want, name)
-        assert g.dtype == w.dtype, name
+    want = stacked_constraints(ma, mb).tocsc()
+    start, index, _ = got
+    assert (start.size - 1, index.max() + 1) == (want.shape[1], want.shape[0])
+    for g, w in zip(got, (want.indptr, want.indices, want.data)):
+        assert g.dtype == w.dtype
         np.testing.assert_array_equal(g, w)
+
+
+def _lp_guard_pair(kind, rng):
+    """Supply, demand and cost of one seeded pair of the given kind."""
+    d = int(rng.integers(2, 5))
+    if kind == "weighted equal size":
+        ma = mb = int(rng.integers(2, 31))
+    else:
+        ma, mb = (int(m) for m in rng.choice(np.arange(2, 31), 2, replace=False))
+    x, y = rng.normal(size=(ma, d)), rng.normal(size=(mb, d))
+    if kind == "lattice":
+        x, y = np.round(2 * x), np.round(2 * y)  # ties between distinct atoms
+    elif kind == "duplicates":
+        x[ma // 2:] = x[: ma - ma // 2]
+        y[: mb // 2] = y[mb - mb // 2:]
+    weighted = kind == "weighted equal size" or (
+        kind != "ragged uniform" and rng.random() < 0.3
+    )
+    a = Cloud(x, rng.dirichlet(np.ones(ma)) if weighted else None)
+    b = Cloud(y, rng.dirichlet(np.ones(mb)) if weighted else None)
+    return a.weights, b.weights, cost_matrix(a.points, b.points)
+
+
+@pytest.mark.parametrize(
+    "kind", ["ragged uniform", "weighted equal size", "lattice", "duplicates"]
+)
+def test_lp_vertex_equals_linprog_bitwise(kind):
+    """The direct HiGHS call returns ``linprog(method="highs")``'s ``x`` to
+    the bit; a SciPy release that changes the binding or its defaults fails
+    here first."""
+    rng = np.random.default_rng([20240817, len(kind)])
+    for _ in range(60):
+        supply, demand, cost = _lp_guard_pair(kind, rng)
+        ma, mb = cost.shape
+        got = wsdepth.ot_core._transport_vertex(cost, supply, demand)
+        want = linprog(
+            cost.ravel(),
+            A_eq=stacked_constraints(ma, mb),
+            b_eq=np.concatenate([supply, demand]),
+            bounds=(0, None),
+            method="highs",
+            options={
+                "primal_feasibility_tolerance": 1e-10,
+                "dual_feasibility_tolerance": 1e-10,
+            },
+        )
+        assert want.status == 0
+        assert got.dtype == want.x.dtype and got.tobytes() == want.x.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_failed_lp_raises_and_names_its_pair(threads, rng, monkeypatch):
+    capped = wsdepth.ot_core._lp_options()
+    capped.presolve = "off"
+    capped.simplex_iteration_limit = 0  # HiGHS stops before any optimum
+    monkeypatch.setattr(wsdepth.ot_core, "_LP_OPTIONS", capped)
+    ragged = make_cloud(rng, 5, 2)
+    clouds = [make_cloud(rng, 4, 2) for _ in range(3)] + [ragged]
+    with pytest.raises(NumericalError, match="^transport LP failed: "):
+        solve_ot(clouds[0], ragged)
+    # pairs (0, 1) and (0, 2) take the assignment batch, (0, 3) the LP
+    with pytest.raises(NumericalError, match=r"^clouds \(0, 3\): transport LP failed: "):
+        w2_matrix(clouds, threads=threads)
+
+
+def test_a_scipy_without_the_highs_binding_is_refused_at_import():
+    code = (
+        "import sys, scipy.optimize._highspy as h\n"
+        "del h._core\n"
+        "sys.modules['scipy.optimize._highspy._core'] = None\n"
+        "import wsdepth\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 1
+    assert "ImportError: wsdepth needs SciPy >= 1.15" in run.stderr
 
 
 def _huge(rng, m, d, offset=0.0):
