@@ -83,6 +83,7 @@ def ingest(manifest: IngestManifest) -> list[tuple[str, Cloud]]:
     """Read one cloud per distinct group id, ordered by first appearance.
 
     Groups may have unequal sizes; every cloud carries uniform weights.
+    Errors in a record name the file line on which that record starts.
 
     Raises:
         ParseError: a file that cannot be opened or read, malformed rows,
@@ -92,28 +93,32 @@ def ingest(manifest: IngestManifest) -> list[tuple[str, Cloud]]:
         NonFiniteValue: NaN or infinite coordinate.
         EmptyGroup: the file has no data rows.
     """
+    rows = []  # (line on which the record starts, record), blank ones dropped
+    line = 1
     try:
         with open(manifest.path, newline="") as handle:
             reader = csv.reader(handle, delimiter=manifest.delimiter)
-            rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+            for row in reader:
+                if row and any(cell.strip() for cell in row):
+                    rows.append((line, row))
+                line = reader.line_num + 1  # a quoted field may span lines
     except OSError as exc:  # missing file, a directory, no permission
         raise ParseError(
             f"{manifest.path}: cannot read: {exc.strerror or exc}"
         ) from None
     except csv.Error as exc:  # e.g. a field over csv's size limit
-        raise ParseError(f"{manifest.path}:{reader.line_num}: {exc}") from None
+        raise ParseError(f"{manifest.path}:{line}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{manifest.path}: not readable as text: {exc}") from None
     if not rows:
         raise EmptyGroup(f"{manifest.path}: file is empty")
-    group_idx, coord_idx = _resolve_columns(manifest, rows[0])
+    group_idx, coord_idx = _resolve_columns(manifest, rows[0][1])
     data_rows = rows[1:] if manifest.has_header else rows
     if not data_rows:
         raise EmptyGroup(f"{manifest.path}: no data rows")
 
     groups: dict[str, list] = {}
-    start = 2 if manifest.has_header else 1
-    for lineno, row in enumerate(data_rows, start=start):
+    for lineno, row in data_rows:
         needed = max([group_idx] + coord_idx)
         if len(row) <= needed:
             raise ParseError(

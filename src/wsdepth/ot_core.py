@@ -93,15 +93,23 @@ class Cloud:
         weights: optional length-``m`` vector; defaults to uniform ``1/m``.
 
     Raises:
-        InvalidCloud: on empty input, non-finite entries, negative weights,
-            or weights that do not sum to one within ``1e-12``.
+        InvalidCloud: on input that is not an array of real numbers, empty
+            input, non-finite entries, negative weights, or weights that do
+            not sum to one within ``1e-12``.
     """
 
     points: np.ndarray
     weights: np.ndarray
 
     def __init__(self, points, weights=None) -> None:
-        pts = np.array(points, dtype=np.float64, copy=True)
+        try:
+            arrays = [v for v in (points, weights) if hasattr(v, "dtype")]
+            if any(np.iscomplexobj(v) for v in arrays):  # casting would warn only
+                raise TypeError("complex values would lose their imaginary part")
+            pts = np.array(points, dtype=np.float64, copy=True)
+            w = None if weights is None else np.array(weights, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InvalidCloud(f"points and weights must be real: {exc}") from exc
         if pts.ndim == 1:
             pts = pts.reshape(-1, 1)
         if pts.ndim != 2:
@@ -111,10 +119,10 @@ class Cloud:
         if not np.isfinite(pts).all():
             raise InvalidCloud("points contain NaN or infinite coordinates")
 
-        if weights is None:
+        if w is None:
             w = np.full(pts.shape[0], 1.0 / pts.shape[0])
         else:
-            w = np.array(weights, dtype=np.float64, copy=True).reshape(-1)
+            w = w.reshape(-1)
             if w.shape[0] != pts.shape[0]:
                 raise InvalidCloud(
                     f"{w.shape[0]} weights for {pts.shape[0]} points"

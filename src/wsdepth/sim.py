@@ -15,7 +15,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import spearmanr
 
 from . import analytic
 from .depth import (
@@ -642,6 +641,10 @@ class LocationEquivalenceResult:
 
 def run_location_equivalence(config: ExperimentConfig) -> LocationEquivalenceResult:
     """Compare leave-one-out depth with the spatial depth of the locations."""
+    # Imported here, not at module level: scipy.stats would add about a third
+    # of a second to every process's ``import wsdepth``, and only this uses it.
+    from scipy.stats import spearmanr
+
     _check_experiment(config, "location_equivalence")
     gaps = []
     corrs = []

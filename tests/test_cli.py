@@ -69,6 +69,29 @@ def test_ingest_reports_parse_position(tmp_path):
         ingest(IngestManifest(path=path, group_col="group"))
 
 
+@pytest.mark.parametrize(
+    "text, header, where",
+    [
+        ("group,x,y\n\na,0,0\n\nb,1,\n", True, "gap.csv:5: "),
+        ('group,x,y\n"a\nb",0,0\n\na,1,2\nb,1,x\n', True, "gap.csv:6: "),
+        ('group,x,y\na,0,0\n\n"b\nc",1,\n', True, "gap.csv:4: "),
+        ("\n\n1,0\n\n2,x\n", False, "gap.csv:5: "),
+    ],
+    ids=["blank-lines", "multi-line-field-before", "multi-line-bad-record",
+         "headerless"],
+)
+def test_ingest_names_the_line_on_which_the_bad_record_starts(
+    text, header, where, tmp_path
+):
+    path = write(tmp_path / "gap.csv", text)
+    manifest = IngestManifest(
+        path=path, group_col="group" if header else "0", has_header=header
+    )
+    with pytest.raises(ParseError) as info:
+        ingest(manifest)
+    assert where in str(info.value)
+
+
 def test_ingest_rejects_non_finite(tmp_path):
     path = write(tmp_path / "inf.csv", "group,x0\na,1.0\na,inf\n")
     with pytest.raises(NonFiniteValue):

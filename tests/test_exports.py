@@ -1,8 +1,12 @@
-"""Module boundaries: every exported name resolves, and no module of the
-package reaches into another module's private names."""
+"""Module boundaries: every exported name resolves, no module of the
+package reaches into another module's private names, and importing the
+package leaves out what only one experiment needs."""
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -122,3 +126,25 @@ def test_the_unused_import_check_sees_a_leftover():
         "index(scipy.sparse.csr_matrix)\n"
     )
     assert _unused_imports(source) == [(2, "itemgetter"), (4, "np")]
+
+
+def test_importing_the_package_leaves_scipy_stats_to_the_experiment_using_it():
+    # scipy.stats adds about a third of a second to every process's import;
+    # only run_location_equivalence uses it (spearmanr), and imports it on call
+    code = (
+        "import math, sys\n"
+        "import wsdepth, wsdepth.cli\n"
+        "print([m for m in sys.modules if m.startswith('scipy.stats')])\n"
+        "from wsdepth.sim import ExperimentConfig, run_location_equivalence\n"
+        "config = ExperimentConfig('location_equivalence', case=4, n=5, m=6,"
+        " repetitions=2)\n"
+        "corrs = run_location_equivalence(config).rank_correlations\n"
+        "print(len(corrs), all(map(math.isfinite, corrs)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]", "2 True"]

@@ -68,6 +68,40 @@ def test_cloud_rejects_bad_input():
         Cloud(np.array([[0.0], [1.0]]), np.array([1.5, -0.5]))
 
 
+@pytest.mark.parametrize(
+    "points, weights",
+    [
+        ([[1, 2], [3]], None),
+        ("abc", None),
+        ([[0.0, 1.0], [2.0, 3.0]], ["a", "b"]),
+        ([1 + 2j, 3.0], None),
+        (np.array([[1 + 2j], [3.0]]), None),
+        ([[0.0], [1.0]], np.array([0.5 + 0j, 0.5])),
+        ([[object()]], None),
+    ],
+    ids=["ragged", "string", "string-weights", "complex-list", "complex-array",
+         "complex-weights", "object"],
+)
+def test_cloud_refuses_what_is_not_real_numbers(points, weights):
+    with pytest.raises(InvalidCloud) as info:
+        Cloud(points, weights)
+    assert isinstance(info.value.__cause__, (TypeError, ValueError))
+
+
+def test_cloud_keeps_the_bits_of_valid_input():
+    rows = [[0.1, 1e-300], [2.5, -3.0], [7.0, 2.0]]
+    for points, weights in [
+        (rows, [0.2, 0.3, 0.5]),
+        (np.array(rows), np.array([0.2, 0.3, 0.5])),
+        (np.array(rows, dtype=np.float32), None),
+        ([["1.5", "2"], ["3", "4"], ["0", "1e3"]], None),
+    ]:
+        c = Cloud(points, weights)
+        assert c.points.tobytes() == np.array(points, dtype=np.float64).tobytes()
+        if weights is not None:
+            assert c.weights.tobytes() == np.array(weights, dtype=np.float64).tobytes()
+
+
 def test_cloud_is_immutable():
     c = Cloud(np.array([[1.0]]))
     with pytest.raises(ValueError):
