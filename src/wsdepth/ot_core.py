@@ -5,8 +5,9 @@ solved exactly, never with entropic smoothing:
 
 * one ambient dimension: the monotone (sorted quantile) coupling, which is
   optimal for any convex cost and costs ``O(m log m)``;
-* uniform clouds of equal size: the linear assignment problem, solved by
-  the Jonker-Volgenant implementation in SciPy;
+* uniform clouds whose sizes divide, either way round: the linear
+  assignment problem, each atom of the smaller cloud repeated ``k`` times
+  (``k = 1`` at equal sizes), solved by SciPy's Jonker-Volgenant code;
 * general weights: a sparse transportation LP handed to the HiGHS dual
   simplex through SciPy's bundled binding, with ``linprog``'s options and
   tightened feasibility tolerances, which returns a basic (vertex)
@@ -454,8 +455,8 @@ def _canonicalize_duplicate_ties(a: Cloud, b: Cloud, sigma: np.ndarray) -> np.nd
     return sigma
 
 
-def _reduced(cost: np.ndarray, m: int, skip: np.ndarray) -> np.ndarray:
-    """A ``cdist`` block of targets of ``m`` points each, laid out per target
+def _reduced(cost: np.ndarray, n: int, skip: np.ndarray) -> np.ndarray:
+    """A ``cdist`` block of targets of ``n`` points each, laid out per target
     and reduced: each target's row minima, then its column minima, are
     subtracted, except on the targets marked in ``skip``.
 
@@ -466,9 +467,9 @@ def _reduced(cost: np.ndarray, m: int, skip: np.ndarray) -> np.ndarray:
     repeated coordinate values, where distinct atoms tie, are skipped.
     """
     # reduceat takes short rows' minima several times faster than min(axis)
-    rows = np.minimum.reduceat(cost, np.arange(0, cost.shape[1], m), axis=1)
+    rows = np.minimum.reduceat(cost, np.arange(0, cost.shape[1], n), axis=1)
     rows[:, skip] = 0.0
-    cost = cost.reshape(m, -1, m)
+    cost = cost.reshape(len(cost), -1, n)
     cost -= rows[:, :, None]
     cols = cost.min(axis=0)
     cols[skip] = 0.0
@@ -478,85 +479,74 @@ def _reduced(cost: np.ndarray, m: int, skip: np.ndarray) -> np.ndarray:
 def _solve_assignments(
     a: Cloud, targets: Sequence[Cloud]
 ) -> list[tuple[Coupling, float]]:
-    """Optimal permutation plans and their costs from ``a`` to each target.
+    """Optimal plans and their costs from ``a`` to each target.
 
-    ``_path`` gives this solver for every pair.  The batch shares the cost
-    blocks of ``cost_blocks`` and array-wide bookkeeping; each plan and
-    cost equals what a batch of that target alone gives, bit for bit,
-    because ``cdist``, the reduction and the cost terms are computed entry
-    by entry or per target, and each assignment solve sees its own
-    contiguous block.  A pair's block is reduced (``_reduced``) unless
-    both clouds have repeated coordinate values; its cost is still summed
-    from the points.
+    ``_path`` gives this solver for uniform clouds whose sizes divide,
+    either way round; the targets share one size ``n``.  With ``k`` the
+    larger size over the smaller, supplies and demands are integers in
+    units of the larger cloud's mass, so an optimal vertex ships each atom
+    of the larger cloud whole to one atom of the smaller, and repeating
+    the smaller cloud's atoms ``k`` times makes the pair an assignment
+    (for ``a.m < n`` solved from the target's side).  Equal sizes are
+    ``k = 1``, with permutation plans.
+
+    The batch shares the cost blocks of ``cost_blocks`` and array-wide
+    bookkeeping; each plan and cost equals what a batch of that target
+    alone gives, bit for bit, because ``cdist``, the reduction and the cost
+    terms are computed entry by entry or per target, and each assignment
+    solve sees its own contiguous block.  A pair's block is reduced
+    (``_reduced``) unless ``k > 1`` or both clouds have repeated
+    coordinate values; its cost is still summed from the points.
 
     Raises:
         NumericalError: the squared distances of some pair overflow
             float64, or a plan misses its marginals beyond ``1e-9``.  Only
             a batch of one shows its message: :func:`solve_row` re-solves.
     """
-    m, k = a.m, len(targets)
-    stacked = np.concatenate([b.centered for b in targets])
+    m, n, count = a.m, targets[0].m, len(targets)
+    k, small = max(m, n) // min(m, n), min(m, n)
     lattice = a.has_repeated_coordinates
-    tied = np.array([lattice and b.has_repeated_coordinates for b in targets])
-    sigma = np.empty((k, m), dtype=np.int64)
-    for lo, hi, cost in cost_blocks(a.centered, stacked, [m] * k):
-        cost = _reduced(_finite(cost), m, tied[lo:hi])
+    skip = np.array([k > 1 or (lattice and b.has_repeated_coordinates) for b in targets])
+    hits = np.empty((count, max(m, n)), dtype=np.int64)  # larger atom -> smaller atom
+    stacked = np.concatenate([b.centered for b in targets])
+    for lo, hi, cost in cost_blocks(a.centered, stacked, [n] * count):
+        cost = _reduced(_finite(cost), n, skip[lo:hi])
+        if k > 1:  # the smaller cloud's atoms as columns, each k times
+            cost = np.repeat(cost if m > n else cost.swapaxes(1, 2), k, axis=2)
         for t, b in enumerate(targets[lo:hi], lo):
             _, cols = linear_sum_assignment(cost[t - lo])
-            if a.has_duplicate_points or b.has_duplicate_points:
+            if k == 1 and (a.has_duplicate_points or b.has_duplicate_points):
                 cols = _canonicalize_duplicate_ties(a, b, cols)
-            sigma[t] = cols
+            hits[t] = cols
+    hits //= k
 
-    # A permutation plan puts one mass on every row, so its row sums are
-    # exact and only its columns can be off.  The masses are all equal, so
-    # a column's sum is its hit count times that mass.
-    flat_cols = (sigma + np.arange(0, k * m, m)[:, None]).ravel()
-    col_err = np.abs(
-        np.bincount(flat_cols, minlength=k * m) * a.weights[0]
-        - np.concatenate([b.weights for b in targets])
-    )
-    if col_err.max() > MARGINAL_TOL:
-        raise _marginal_error(0.0, col_err.max(), MARGINAL_TOL)
+    # Each atom of the larger cloud ships one and the same mass whole, so
+    # only the smaller cloud's sums can be off: hit counts times that mass.
+    flat = hits + np.arange(0, count * small, small)[:, None]
+    counts = np.bincount(flat.ravel(), minlength=count * small).reshape(count, small)
+    points = [b.points for b in targets]
+    weights = np.concatenate([b.weights for b in targets]).reshape(count, n)
+    if m >= n:  # the targets' column sums
+        x, y, mass = a.points, np.concatenate(points)[flat], a.weights
+        err = (0.0, np.abs(counts * mass[0] - weights).max())
+        rows, cols = [_freeze(np.arange(m, dtype=np.int64))] * count, hits
+    else:  # a's row sums; entries in (source, target) order, by a stable sort
+        x, y, mass = a.points[hits], np.concatenate(points).reshape(count, n, a.d), weights
+        err = (np.abs(counts * weights[:, :1] - a.weights).max(), 0.0)
+        cols = np.argsort(hits, axis=1, kind="stable")
+        rows = _freeze(np.take_along_axis(hits, cols, axis=1))
+    if max(err) > MARGINAL_TOL:
+        raise _marginal_error(*err, MARGINAL_TOL)
 
     # plan_cost's terms for every entry of the batch, one sum per pair
-    gathered = np.concatenate([b.points for b in targets])[flat_cols]
-    entry = _squared_displacements(a.points, gathered.reshape(k, m, a.d))
-    costs = [_total_cost(terms) for terms in (a.weights * entry).tolist()]
-
-    rows, sigma = _freeze(np.arange(m, dtype=np.int64)), _freeze(sigma)
+    entry = _squared_displacements(x, y)
+    costs = [_total_cost(terms) for terms in (mass * entry).tolist()]
+    cols = _freeze(cols)
     return [
-        (
-            Coupling(
-                rows=rows,
-                cols=sigma[t],
-                mass=a.weights,
-                source_size=m,
-                target_size=m,
-                permutation=sigma[t],
-            ),
-            costs[t],
-        )
-        for t in range(k)
+        (Coupling(rows[t], cols[t], (a if m >= n else b).weights, m, n,
+                  cols[t] if k == 1 else None), costs[t])
+        for t, b in enumerate(targets)
     ]
-
-
-def _solve_replicated_assignment(a: Cloud, b: Cloud) -> Coupling:
-    """Exact plan for uniform clouds whose sizes divide, either way round.
-
-    For ``a.m == k * b.m``, with integer supplies and demands (in units of
-    ``1/a.m``) the transportation polytope has an integral optimal vertex,
-    so every source atom ships its whole mass to a single target.
-    Duplicating each target ``k`` times turns it into a plain assignment.
-    """
-    if a.m < b.m:
-        return _solve_replicated_assignment(b, a).transpose()
-    k = a.m // b.m
-    cost = np.repeat(_finite(cost_matrix(a.centered, b.centered)), k, axis=1)
-    _, sigma = linear_sum_assignment(cost)
-    cols = (sigma // k).astype(np.int64)
-    return Coupling.from_arrays(
-        np.arange(a.m), cols, a.weights.copy(), a.m, b.m
-    )
 
 
 def _marginal_constraints(ma: int, mb: int):
@@ -643,11 +633,8 @@ def _path(a: Cloud, b: Cloud) -> Callable:
         return _solve_1d
     if a.m == 1 or b.m == 1:
         return _solve_point_mass
-    if a.is_uniform and b.is_uniform:
-        if a.m == b.m:
-            return _solve_assignments
-        if a.m % b.m == 0 or b.m % a.m == 0:
-            return _solve_replicated_assignment
+    if a.is_uniform and b.is_uniform and (a.m % b.m == 0 or b.m % a.m == 0):
+        return _solve_assignments
     return _solve_lp
 
 
@@ -655,9 +642,9 @@ def solve_ot(a: Cloud, b: Cloud) -> Coupling:
     """Exact optimal transport plan between two clouds.
 
     Minimises ``sum_ij pi_ij * ||x_i - y_j||^2`` over couplings with the
-    clouds' weights as marginals.  Uniform clouds of equal size go through
-    the assignment solver and always yield a permutation plan; every other
-    pair goes through the exact solver that ``_path`` picks for it.
+    clouds' weights as marginals.  Uniform clouds whose sizes divide go
+    through the assignment solver, with a permutation plan at equal sizes;
+    every other pair goes through the exact solver that ``_path`` picks.
 
     Raises:
         DimensionMismatch: the clouds live in different dimensions.
@@ -764,10 +751,13 @@ def _row(
         plans = _solve_assignments(a, batch)
         return [step(plan, cost, a, b) for (plan, cost), b in zip(plans, batch)]
 
-    batched = [k for k, b in enumerate(targets) if _path(a, b) is _solve_assignments]
-    alone = set(range(len(targets))).difference(batched)
-    count = min(len(batched), threads)
-    units = [batched[u::count] for u in range(count)] + [[k] for k in sorted(alone)]
+    sizes: dict[int, list[int]] = {}  # the assignment targets, by size
+    for k, b in enumerate(targets):
+        if _path(a, b) is _solve_assignments:
+            sizes.setdefault(b.m, []).append(k)
+    alone = set(range(len(targets))).difference(chain.from_iterable(sizes.values()))
+    units = [ks[u::threads] for ks in sizes.values() for u in range(min(len(ks), threads))]
+    units += [[k] for k in sorted(alone)]
     try:
         solved = ordered_map(run, units, threads)
     except Exception:
@@ -793,10 +783,11 @@ def solve_row(
 
     ``plan`` is the optimal plan from ``a`` to ``b`` and ``cost`` its
     squared ``w2``, both exactly as ``solve_ot`` and ``plan_cost`` give
-    them.  Targets on the assignment path (uniform, as many points as
-    ``a``) are solved in up to ``threads`` batches over shared cost blocks;
-    every other target is solved on its own.  Every value is independent
-    of the thread count.
+    them.  Targets on the assignment path (uniform, with a size that
+    divides ``a.m`` or that ``a.m`` divides) are solved in up to
+    ``threads`` batches per size over shared cost blocks; every other
+    target is solved on its own.  Every value is independent of the
+    thread count.
 
     One failure rule: if any solve or ``step`` raises, the row is solved
     again pair by pair in target order, which gives the same bits, and the

@@ -640,12 +640,19 @@ class LocationEquivalenceResult:
 
 
 def run_location_equivalence(config: ExperimentConfig) -> LocationEquivalenceResult:
-    """Compare leave-one-out depth with the spatial depth of the locations."""
+    """Compare leave-one-out depth with the spatial depth of the locations.
+
+    Raises:
+        InvalidParameter: ``config`` belongs to another experiment, or
+            ``n < 3``, where both depths are constant and have no rank
+            correlation; raised before any sampling.
+    """
     # Imported here, not at module level: scipy.stats would add about a third
     # of a second to every process's ``import wsdepth``, and only this uses it.
     from scipy.stats import spearmanr
 
     _check_experiment(config, "location_equivalence")
+    check_integer(config.n, "n", 3)  # with two clouds both depths are constant
     gaps = []
     corrs = []
     rows = ()

@@ -537,6 +537,24 @@ def test_bad_dimension_or_repetition_is_one_error_line(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_location_equivalence_of_two_clouds_is_refused_before_sampling(
+    tmp_path, capsys, monkeypatch
+):
+    # with two clouds both depths are constant, so no rank correlation
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(wsdepth.sim, "sample_two_stage", refuse)
+    out = tmp_path / "x"
+    code = main(
+        ["experiment", "--experiment", "location_equivalence", "--case", "1",
+         "--n", "2", "--m", "3", "--reps", "1", "--seed", "1", "--out", str(out)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: n must be >= 3, got 2\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_usage_error_exit_code_is_one(capsys):
     assert main(["depth"]) == 1  # missing required flags
     assert main(["bogus"]) == 1

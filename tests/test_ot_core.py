@@ -236,8 +236,8 @@ def _assert_same_plan(got, want):
         pytest.param((1, 5), 2, True, "_solve_point_mass", id="point mass first"),
         pytest.param((5, 1), 2, True, "_solve_point_mass", id="point mass second"),
         pytest.param((6, 6), 2, True, "_solve_assignments", id="equal uniform"),
-        pytest.param((8, 4), 2, True, "_solve_replicated_assignment", id="replicated"),
-        pytest.param((4, 8), 2, True, "_solve_replicated_assignment",
+        pytest.param((8, 4), 2, True, "_solve_assignments", id="replicated"),
+        pytest.param((4, 8), 2, True, "_solve_assignments",
                      id="replicated the other way"),
         pytest.param((4, 6), 2, True, "_solve_lp", id="ragged"),
         pytest.param((5, 5), 2, False, "_solve_lp", id="weighted equal size"),
@@ -820,6 +820,45 @@ def _assignment_per_pair(a, b):
     return plan, plan_cost(plan, a, b)
 
 
+_finite = wsdepth.ot_core._finite
+
+
+def _solve_replicated_assignment(a: Cloud, b: Cloud) -> Coupling:
+    """Exact plan for uniform clouds whose sizes divide, either way round.
+
+    For ``a.m == k * b.m``, with integer supplies and demands (in units of
+    ``1/a.m``) the transportation polytope has an integral optimal vertex,
+    so every source atom ships its whole mass to a single target.
+    Duplicating each target ``k`` times turns it into a plain assignment.
+    """
+    if a.m < b.m:
+        return _solve_replicated_assignment(b, a).transpose()
+    k = a.m // b.m
+    cost = np.repeat(_finite(cost_matrix(a.centered, b.centered)), k, axis=1)
+    _, sigma = linear_sum_assignment(cost)
+    cols = (sigma // k).astype(np.int64)
+    return Coupling.from_arrays(
+        np.arange(a.m), cols, a.weights.copy(), a.m, b.m
+    )
+
+
+def _per_pair(a, b):
+    """Reference for one pair on the assignment path, as solved before the
+    batch took pairs of unequal size: equal sizes by ``_assignment_per_pair``,
+    replicated ones by their own unreduced solve."""
+    if a.m == b.m:
+        return _assignment_per_pair(a, b)
+    plan = _solve_replicated_assignment(a, b)
+    return plan, plan_cost(plan, a, b)
+
+
+def _near_duplicates(points, rng):
+    """``points``, then each atom again one ulp up or down in every
+    coordinate."""
+    twins = np.nextafter(points, np.inf * rng.choice([-1.0, 1.0], size=points.shape))
+    return np.vstack([points, twins])
+
+
 def _row_collection(kind, rng):
     if kind == "equal":
         return [make_cloud(rng, 6, 3) for _ in range(7)]
@@ -829,6 +868,15 @@ def _row_collection(kind, rng):
         clouds = [Cloud(rng.integers(0, 3, size=(8, 2)).astype(float))
                   for _ in range(6)]
         return clouds + [clouds[2]]
+    if kind == "replicated-ties":
+        # sizes 4, 8, 16 and 32 divide one another; exact and near-duplicate
+        # atoms tie or nearly tie, so a reduced replicated block would pick
+        # another plan.  The equal-size pairs (4 and 16 points) are ones whose
+        # reduced block keeps the reference's unreduced plan.
+        grid = Cloud([[i, j] for i in range(4) for j in range(4)])
+        exact = [Cloud(rng.integers(0, 3, size=(m, 2)).astype(float)) for m in (16, 4)]
+        near = [Cloud(_near_duplicates(rng.normal(size=(m // 2, 2)), rng)) for m in (8, 32)]
+        return [exact[0], near[0], grid, make_cloud(rng, 4, 2), near[1], exact[1]]
     if kind == "point-mass":
         return [make_cloud(rng, m, 2) for m in (5, 1, 5, 5, 1, 5)]
     return [make_cloud(rng, m, 1) for m in (5, 5, 4, 5, 10)]  # 1-D
@@ -845,13 +893,14 @@ def _row_outputs(clouds, threads):
 
 
 @pytest.mark.parametrize(
-    "kind", ["equal", "mixed-size", "duplicated", "point-mass", "1-D"]
+    "kind",
+    ["equal", "mixed-size", "replicated-ties", "duplicated", "point-mass", "1-D"],
 )
 def test_row_path_matches_per_pair_solves_bitwise(kind, rng, monkeypatch):
     clouds = _row_collection(kind, rng)
     with monkeypatch.context() as patch:
         patch.setattr(wsdepth.ot_core, "_solve_assignments",
-                      lambda a, targets: [_assignment_per_pair(a, b) for b in targets])
+                      lambda a, targets: [_per_pair(a, b) for b in targets])
         want = _row_outputs(clouds, 1)
         plans = [solve_ot(a, b) for a in clouds for b in clouds]
     # the default block, blocks of one target each, and of up to three
