@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .depth import compute_depths
+from .depth import DEPTH_METHODS, compute_depths
 from .errors import (
     EmptyGroup,
     InvalidParameter,
@@ -33,13 +33,7 @@ from .sim import (
     sample_experiment,
 )
 
-_METHOD_FLAGS = {
-    "wsd": "wsd",
-    "wsd-discrete": "wsd_discrete",
-    "lens": "lens",
-    "metric-spatial": "metric_spatial",
-    "kernel-spatial": "kernel_spatial",
-}
+_METHOD_FLAGS = {m.replace("_", "-"): m for m in DEPTH_METHODS}
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -20,12 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import (
     EmptyPopulation,
+    InvalidCloud,
     InvalidParameter,
     NonpositiveBandwidth,
     NumericalError,
@@ -82,7 +84,12 @@ class DepthReport:
 
 
 def check_threshold(threshold_quantile: float) -> None:
-    """Raises ``InvalidParameter`` unless the quantile lies in [0, 1]."""
+    """Raises ``InvalidParameter`` unless the quantile is a real number in
+    [0, 1]."""
+    if not isinstance(threshold_quantile, Real):
+        raise InvalidParameter(
+            f"threshold quantile must be a real number, got {threshold_quantile!r}"
+        )
     if not 0.0 <= threshold_quantile <= 1.0:
         raise InvalidParameter(
             f"threshold quantile must lie in [0, 1], got {threshold_quantile}"
@@ -90,8 +97,11 @@ def check_threshold(threshold_quantile: float) -> None:
 
 
 def check_bandwidth(bandwidth: float) -> None:
-    """Raises ``NonpositiveBandwidth`` unless the kernel bandwidth is > 0
-    and its kernel scale ``0.5 / bandwidth**2`` is a nonzero finite float."""
+    """Raises ``NonpositiveBandwidth`` unless the kernel bandwidth is a real
+    number > 0 and its kernel scale ``0.5 / bandwidth**2`` is a nonzero
+    finite float."""
+    if not isinstance(bandwidth, Real):
+        raise NonpositiveBandwidth(f"bandwidth must be a real number, got {bandwidth!r}")
     if not bandwidth > 0:
         raise NonpositiveBandwidth(f"bandwidth must be > 0, got {bandwidth}")
     h = float(bandwidth)
@@ -282,10 +292,14 @@ def _is_image(first: Cloud, q: Cloud) -> bool:
 
 
 def _check_family(queries: Sequence[Cloud]) -> None:
-    """Raises ``InvalidParameter`` unless every query shares the first's
-    size, dimension and weights and is an image of it (``_is_image``)."""
+    """Raises ``InvalidCloud`` on a query that is not a ``Cloud``, and
+    ``InvalidParameter`` unless every query shares the first's size,
+    dimension and weights and is an image of it (``_is_image``)."""
     if not queries:
         raise InvalidParameter("a query family needs at least one query")
+    for k, q in enumerate(queries):
+        if not isinstance(q, Cloud):
+            raise InvalidCloud(f"query {k} is not a Cloud: got {type(q).__name__}")
     first = queries[0]
     for k, q in enumerate(queries[1:], 1):
         if q.points.shape != first.points.shape:
@@ -318,6 +332,7 @@ def _wsd_loo(clouds: list[Cloud], threads: int, single_member_rule: bool) -> np.
     The sweep is row-major, so each cloud receives its fields in ascending
     index order, as a direct call would add them.
     """
+    check_dimensions(clouds)
     accs = [_NeumaierSum((c.m, c.d)) for c in clouds]
     for i, j, fields in pair_sweep(clouds, _pair_fields, threads=threads):
         for k, f in zip((i, j), fields):
@@ -356,6 +371,7 @@ def wsd_empirical(
 
     Raises:
         EmptyPopulation: no members remain after exclusion.
+        InvalidCloud: the query or a member is not a ``Cloud``.
         DimensionMismatch: a member lives in a different dimension.
         InvalidParameter: ``threads`` not an integer >= 1, or ``exclude``
             not an integer in ``0..len(population) - 1``; raised before any
@@ -397,6 +413,7 @@ def wsd_query_family(
     Raises:
         InvalidParameter: no queries, or a query that breaks the conditions
             above; raised before any plan is solved.
+        InvalidCloud: a query is not a ``Cloud``, before any plan is solved.
         EmptyPopulation, DimensionMismatch, WsdError: as in
             :func:`wsd_empirical`.
     """
@@ -419,8 +436,10 @@ def wsd_all(
 
     Raises:
         EmptyPopulation: fewer than two clouds.
-        InvalidParameter: a threshold outside [0, 1] or ``threads`` not an
-            integer >= 1, before any plan is solved.
+        InvalidParameter: a threshold that is not a real number in [0, 1]
+            or ``threads`` not an integer >= 1, before any plan is solved.
+        InvalidCloud: an item that is not a ``Cloud``, before any plan is
+            solved.
     """
     clouds = _collection(data, threshold_quantile)
     values = _wsd_loo(clouds, threads, single_member_rule=True)

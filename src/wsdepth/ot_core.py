@@ -24,7 +24,7 @@ import math
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import accumulate, chain
 from typing import Callable, Optional, Sequence
 
@@ -211,7 +211,7 @@ class Coupling:
 
     Entries are stored as parallel arrays sorted by ``(source, target)``.
     ``permutation`` holds the target index per source atom whenever the plan
-    matches each source atom to exactly one target atom.
+    is a bijection between clouds of equal size.
     """
 
     rows: np.ndarray
@@ -230,13 +230,32 @@ class Coupling:
         source_size: int,
         target_size: int,
     ) -> "Coupling":
+        """The plan with entries ``(rows[e], cols[e], mass[e])``.
+
+        Raises:
+            InvalidParameter: the arrays are not 1-D and of one length, hold
+                no entry, a mass that is not finite and positive, or an
+                index outside ``[0, source_size)`` or ``[0, target_size)``.
+        """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         mass = np.asarray(mass, dtype=np.float64)
+        if not (rows.ndim == cols.ndim == mass.ndim == 1
+                and rows.size == cols.size == mass.size):
+            raise InvalidParameter(
+                "coupling rows, cols and mass must be 1-D and of one length,"
+                f" got shapes {rows.shape}, {cols.shape} and {mass.shape}"
+            )
         if rows.size == 0:
             raise InvalidParameter("a coupling needs at least one entry")
-        if (mass <= 0).any():
-            raise InvalidParameter("coupling masses must be strictly positive")
+        if not (np.isfinite(mass).all() and (mass > 0).all()):
+            raise InvalidParameter("coupling masses must be finite and positive")
+        if not (0 <= rows.min() <= rows.max() < source_size
+                and 0 <= cols.min() <= cols.max() < target_size):
+            raise InvalidParameter(
+                f"coupling indices must lie in [0, {source_size}) x"
+                f" [0, {target_size})"
+            )
         order = np.lexsort((cols, rows))
         rows, cols, mass = rows[order], cols[order], mass[order]
         perm = None
@@ -380,18 +399,32 @@ def _marginal_error(row_err: float, col_err: float, tol: float) -> NumericalErro
     )
 
 
-def _check_marginals(plan: Coupling, a: Cloud, b: Cloud, tol: float) -> None:
-    row_err = np.abs(plan.row_sums() - a.weights).max()
-    col_err = np.abs(plan.col_sums() - b.weights).max()
-    if row_err > tol or col_err > tol:
-        raise _marginal_error(row_err, col_err, tol)
-
-
 # ---------------------------------------------------------------------------
 # solver paths
 # ---------------------------------------------------------------------------
 
 
+def _per_target(solve: Callable) -> Callable:
+    """``solve``, which maps a pair ``(a, b)`` to its plan, as a batch
+    solver: each target is solved alone, and its plan checked against both
+    weights within ``1e-9`` and costed by ``plan_cost``."""
+
+    def checked(a: Cloud, b: Cloud) -> tuple[Coupling, float]:
+        plan = solve(a, b)
+        row_err = np.abs(plan.row_sums() - a.weights).max()
+        col_err = np.abs(plan.col_sums() - b.weights).max()
+        if row_err > MARGINAL_TOL or col_err > MARGINAL_TOL:
+            raise _marginal_error(row_err, col_err, MARGINAL_TOL)
+        return plan, plan_cost(plan, a, b)
+
+    @wraps(solve)
+    def batch(a: Cloud, targets: Sequence[Cloud]) -> list[tuple[Coupling, float]]:
+        return [checked(a, b) for b in targets]
+
+    return batch
+
+
+@_per_target
 def _solve_1d(a: Cloud, b: Cloud) -> Coupling:
     oa = a.sort_order_1d
     ob = b.sort_order_1d
@@ -427,6 +460,7 @@ def _solve_1d(a: Cloud, b: Cloud) -> Coupling:
     return Coupling.from_arrays(rows, cols, mass, a.m, b.m)
 
 
+@_per_target
 def _solve_point_mass(a: Cloud, b: Cloud) -> Coupling:
     if a.m == 1:
         return Coupling.from_arrays(
@@ -618,6 +652,7 @@ def _transport_vertex(
     return np.array(solver.getSolution().col_value)
 
 
+@_per_target
 def _solve_lp(a: Cloud, b: Cloud) -> Coupling:
     cost = _finite(cost_matrix(a.points, b.points))
     x = _transport_vertex(cost, a.weights, b.weights)
@@ -626,9 +661,9 @@ def _solve_lp(a: Cloud, b: Cloud) -> Coupling:
 
 
 def _path(a: Cloud, b: Cloud) -> Callable:
-    """The exact solver for a pair of equal dimension.  The batch path,
-    ``_solve_assignments``, maps ``(a, targets)`` to ``(plan, cost)`` per
-    target; every other solver maps ``(a, b)`` to a plan."""
+    """The exact solver for a pair of equal dimension.  Every solver maps
+    ``(a, targets)`` to ``(plan, cost)`` per target, for targets that share
+    ``b``'s solver and size."""
     if a.d == 1:
         return _solve_1d
     if a.m == 1 or b.m == 1:
@@ -642,30 +677,24 @@ def solve_ot(a: Cloud, b: Cloud) -> Coupling:
     """Exact optimal transport plan between two clouds.
 
     Minimises ``sum_ij pi_ij * ||x_i - y_j||^2`` over couplings with the
-    clouds' weights as marginals.  Uniform clouds whose sizes divide go
-    through the assignment solver, with a permutation plan at equal sizes;
-    every other pair goes through the exact solver that ``_path`` picks.
+    clouds' weights as marginals, in a batch of one through ``_path``'s
+    solver; uniform clouds of equal size get a permutation plan.
 
     Raises:
+        InvalidCloud: an operand is not a ``Cloud``.
         DimensionMismatch: the clouds live in different dimensions.
-        NumericalError: the squared distances overflow float64 (on the
-            assignment path, also those the plan's own cost adds up), or
-            the returned plan violates marginal feasibility beyond ``1e-9``
-            (solver failure).
+        NumericalError: the squared distances, or those the plan's own cost
+            adds up, overflow float64, or the returned plan violates
+            marginal feasibility beyond ``1e-9`` (solver failure).
     """
     check_dimensions([a, b])
-    solve = _path(a, b)
-    if solve is _solve_assignments:
-        return _solve_assignments(a, [b])[0][0]
-    plan = solve(a, b)
-    _check_marginals(plan, a, b, MARGINAL_TOL)
-    return plan
+    return _path(a, b)(a, [b])[0][0]
 
 
 def w2_squared(a: Cloud, b: Cloud) -> float:
-    """Squared 2-Wasserstein distance between two clouds."""
-    plan = solve_ot(a, b)
-    return plan_cost(plan, a, b)
+    """Squared 2-Wasserstein distance: the cost of ``solve_ot``'s plan."""
+    check_dimensions([a, b])
+    return _path(a, b)(a, [b])[0][1]
 
 
 def w2(a: Cloud, b: Cloud) -> float:
@@ -715,8 +744,11 @@ def check_threads(threads: int) -> int:
 
 
 def check_dimensions(clouds: Sequence[Cloud]) -> None:
-    """Raises ``DimensionMismatch`` unless all clouds share one dimension."""
+    """Raises ``InvalidCloud`` on an item that is not a ``Cloud``, and
+    ``DimensionMismatch`` unless all clouds share one dimension."""
     for k, c in enumerate(clouds):
+        if not isinstance(c, Cloud):
+            raise InvalidCloud(f"cloud {k} is not a Cloud: got {type(c).__name__}")
         if c.d != clouds[0].d:
             raise DimensionMismatch(
                 f"cloud 0 has d={clouds[0].d} but cloud {k} has d={c.d}"
@@ -740,24 +772,15 @@ def _row(
     """:func:`solve_row`'s work and failure rule, naming target ``k`` as
     ``label(k)``."""
 
-    def pair(b: Cloud):
-        plan = solve_ot(a, b)
-        return step(plan, plan_cost(plan, a, b), a, b)
-
     def run(unit: list[int]) -> list:
         batch = [targets[k] for k in unit]
-        if unit[0] in alone:
-            return [pair(batch[0])]
-        plans = _solve_assignments(a, batch)
+        plans = _path(a, batch[0])(a, batch)
         return [step(plan, cost, a, b) for (plan, cost), b in zip(plans, batch)]
 
-    sizes: dict[int, list[int]] = {}  # the assignment targets, by size
+    groups: dict[tuple, list[int]] = {}  # the targets, by solver and size
     for k, b in enumerate(targets):
-        if _path(a, b) is _solve_assignments:
-            sizes.setdefault(b.m, []).append(k)
-    alone = set(range(len(targets))).difference(chain.from_iterable(sizes.values()))
-    units = [ks[u::threads] for ks in sizes.values() for u in range(min(len(ks), threads))]
-    units += [[k] for k in sorted(alone)]
+        groups.setdefault((_path(a, b), b.m), []).append(k)
+    units = [ks[u::threads] for ks in groups.values() for u in range(min(len(ks), threads))]
     try:
         solved = ordered_map(run, units, threads)
     except Exception:
@@ -766,9 +789,9 @@ def _row(
         done = dict(zip(chain.from_iterable(units), chain.from_iterable(solved)))
         return [done[k] for k in range(len(targets))]
     outs = []
-    for k, b in enumerate(targets):
+    for k in range(len(targets)):
         try:
-            outs.append(pair(b))
+            outs += run([k])
         except WsdError as exc:
             raise type(exc)(f"{label(k)}: {exc}") from exc
         except Exception as exc:  # foreign, e.g. from SciPy
@@ -783,11 +806,10 @@ def solve_row(
 
     ``plan`` is the optimal plan from ``a`` to ``b`` and ``cost`` its
     squared ``w2``, both exactly as ``solve_ot`` and ``plan_cost`` give
-    them.  Targets on the assignment path (uniform, with a size that
-    divides ``a.m`` or that ``a.m`` divides) are solved in up to
-    ``threads`` batches per size over shared cost blocks; every other
-    target is solved on its own.  Every value is independent of the
-    thread count.
+    them.  The targets are solved in up to ``threads`` batches per solver
+    and size; on the assignment path (uniform, with a size that divides
+    ``a.m`` or that ``a.m`` divides) a batch shares its cost blocks.  Every
+    value is independent of the thread count.
 
     One failure rule: if any solve or ``step`` raises, the row is solved
     again pair by pair in target order, which gives the same bits, and the
@@ -796,6 +818,7 @@ def solve_row(
 
     Raises:
         InvalidParameter: ``threads`` not an integer >= 1, before any solve.
+        InvalidCloud: an operand is not a ``Cloud``, before any solve.
         DimensionMismatch: a target's dimension is not ``a``'s, before any solve.
         WsdError: the first failing target, named as ``target k``; a
             ``WsdError`` keeps its type, any other exception becomes a
@@ -819,6 +842,7 @@ def pair_sweep(clouds: Sequence[Cloud], step: Callable, *, threads: int = 1):
 
     Raises:
         InvalidParameter: ``threads`` not an integer >= 1, before any solve.
+        InvalidCloud: an item is not a ``Cloud``, before any solve.
         DimensionMismatch: clouds of different dimensions, before any solve.
         WsdError: the first failing pair of the first failing row, named as
             ``clouds (i, j)`` and typed as in :func:`solve_row`.

@@ -32,14 +32,14 @@ def plan_cost_dense(plan_dense, a: Cloud, b: Cloud) -> float:
 
 
 def refuse_solves(monkeypatch) -> None:
-    """Fail the test on any transport solve: every pair is solved either by
-    ``solve_ot`` or in a batch of assignment solves."""
+    """Fail the test on any transport solve: every pair is solved by one of
+    the solvers that ``ot_core._path`` returns."""
 
     def refuse(*args):
         raise AssertionError("a transport plan was solved")
 
-    monkeypatch.setattr(wsdepth.ot_core, "solve_ot", refuse)
-    monkeypatch.setattr(wsdepth.ot_core, "_solve_assignments", refuse)
+    for name in ("_solve_1d", "_solve_point_mass", "_solve_assignments", "_solve_lp"):
+        monkeypatch.setattr(wsdepth.ot_core, name, refuse)
 
 
 @pytest.fixture

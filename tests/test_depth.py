@@ -10,6 +10,7 @@ from wsdepth import (
     Cloud,
     DimensionMismatch,
     EmptyPopulation,
+    InvalidCloud,
     InvalidParameter,
     NonpositiveBandwidth,
     TooFewDistributions,
@@ -515,6 +516,11 @@ def test_compute_depths_matches_direct_functions(rng):
         {"method": "kernel_spatial", "bandwidth": 1e-160},
         {"method": "kernel_spatial", "bandwidth": math.inf},
         {"method": "kernel_spatial", "bandwidth": 1e200},
+        # not real numbers
+        {"threshold_quantile": "0.1"},
+        {"method": "lens", "threshold_quantile": None},
+        {"method": "kernel_spatial", "bandwidth": "1"},
+        {"method": "kernel_spatial", "bandwidth": 1j},
     ],
 )
 def test_compute_depths_rejects_parameters_before_solving(kwargs, rng, monkeypatch):
@@ -522,6 +528,24 @@ def test_compute_depths_rejects_parameters_before_solving(kwargs, rng, monkeypat
     clouds = [make_cloud(rng, 4, 2) for _ in range(4)]
     with pytest.raises(InvalidParameter):
         compute_depths(clouds, **kwargs)
+
+
+def test_items_that_are_not_clouds_are_refused_before_solving(rng, monkeypatch):
+    refuse_solves(monkeypatch)
+    clouds = [make_cloud(rng, 5, 2) for _ in range(3)]
+    arrays = [np.zeros((5, 2)), np.ones((5, 2))]
+    for run in [
+        lambda: wsd_all(arrays),
+        lambda: compute_depths(arrays, "wsd_discrete"),
+        lambda: wsd_empirical(clouds[0], [np.zeros((5, 2))]),
+        lambda: wsd_discrete(clouds[0], clouds[1:] + arrays),
+        lambda: wsd_query_family([clouds[0], arrays[0]], clouds),
+        lambda: lens_depth(1.0, clouds),
+        lambda: metric_spatial_depth(arrays[0], clouds),
+        lambda: kernel_spatial_depth(arrays[0], clouds, 1.0),
+    ]:
+        with pytest.raises(InvalidCloud, match="not a Cloud"):
+            run()
 
 
 def test_kernel_depth_at_a_tiny_bandwidth_runs_clean(rng):

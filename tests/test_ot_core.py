@@ -371,6 +371,29 @@ def test_barycentric_rejects_bad_marginals(rng):
         barycentric_map(bad, a, b)
 
 
+@pytest.mark.parametrize(
+    "rows, cols, mass",
+    [
+        ([0, 0], [0, 5], [0.5, 0.5]),  # a target index past target_size
+        ([0, 1], [0, 1], [0.5, 0.5]),  # a source index past source_size
+        ([0, -1], [0, 1], [0.5, 0.5]),
+        ([0, 0], [0, -1], [0.5, 0.5]),
+        ([0, 0, 0], [0, 1], [0.5, 0.5]),  # unequal lengths
+        ([0, 0], [0, 1], [1.0]),
+        ([[0, 0]], [[0, 1]], [[0.5, 0.5]]),  # not 1-D
+        ([0, 0], [0, 1], [math.nan, 0.5]),
+        ([0, 0], [0, 1], [math.inf, 0.5]),
+    ],
+    ids=["col-past-end", "row-past-end", "negative-row", "negative-col",
+         "rows-longer", "mass-shorter", "2-D", "nan-mass", "inf-mass"],
+)
+def test_coupling_refuses_entries_it_cannot_hold(rows, cols, mass):
+    with pytest.raises(InvalidParameter):
+        Coupling.from_arrays(rows, cols, mass, 1, 2)
+    plan = Coupling.from_arrays([0, 0], [0, 1], [0.5, 0.5], 1, 2)
+    assert plan.col_sums().tolist() == [0.5, 0.5]
+
+
 # ---------------------------------------------------------------------------
 # w2_matrix and the pairwise cache
 # ---------------------------------------------------------------------------
@@ -429,7 +452,7 @@ def test_pair_failures_are_typed_and_name_the_pair(raised, expected, rng, monkey
         raise raised
 
     clouds = [make_cloud(rng, 3, 2) for _ in range(3)]
-    # unequal sizes: every pair reaches solve_ot on its own (the LP path)
+    # sizes that do not divide: every pair takes the LP path
     ragged = [make_cloud(rng, m, 2) for m in (3, 4, 5)]
 
     # cloud 0 against the others, so target 0 is cloud 1; ``exclude`` leaves
@@ -441,17 +464,17 @@ def test_pair_failures_are_typed_and_name_the_pair(raised, expected, rng, monkey
         return wsd_discrete(collection[0], collection[1:])
 
     pair, single = r"clouds \(0, 1\)", "target 0"
-    # the solve under the sweep and under single queries, on both solver
-    # layers of a row, and the image step, which runs after the pair's solve
-    # and cost
+    # the solve under the sweep and under single queries, on the LP and the
+    # assignment solver, and the image step, which runs after the pair's
+    # solve and cost
     for module, name, run, collection, where in [
-        (wsdepth.ot_core, "solve_ot", w2_matrix, ragged, pair),
+        (wsdepth.ot_core, "_solve_lp", w2_matrix, ragged, pair),
         (wsdepth.ot_core, "_solve_assignments", w2_matrix, clouds, pair),
         (wsdepth.depth, "barycentric_map", wsd_all, clouds, pair),
-        (wsdepth.ot_core, "solve_ot", empirical, ragged, single),
+        (wsdepth.ot_core, "_solve_lp", empirical, ragged, single),
         (wsdepth.ot_core, "_solve_assignments", empirical, clouds, single),
         (wsdepth.depth, "barycentric_map", empirical, clouds, single),
-        (wsdepth.ot_core, "solve_ot", discrete, ragged, single),
+        (wsdepth.ot_core, "_solve_lp", discrete, ragged, single),
         (wsdepth.ot_core, "_solve_assignments", discrete, clouds, single),
         (wsdepth.depth, "barycentric_map", discrete, ragged, single),
     ]:
