@@ -58,10 +58,11 @@ def _cmd_depth(args) -> dict[str, str]:
             f"unknown method {args.method!r}; choose from"
             f" {', '.join(sorted(_METHOD_FLAGS))}"
         )
+    coords = args.coord_cols
     manifest = IngestManifest(
         path=args.input,
         group_col=args.group_col,
-        coord_cols=tuple(args.coord_cols.split(",")) if args.coord_cols else None,
+        coord_cols=None if coords is None else tuple(coords.split(",")),
         delimiter=args.delimiter,
         has_header=not args.no_header,
     )

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from numbers import Real
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .errors import (
     NonpositiveBandwidth,
     NumericalError,
     TooFewDistributions,
-    check_integer,
 )
 from .ot_core import (
     Cloud,
@@ -147,7 +146,7 @@ def _collection(data, threshold_quantile: float) -> list[Cloud]:
     return clouds
 
 
-def _others(n: int, qi: Optional[int]) -> list[int]:
+def _others(n: int, qi: int) -> list[int]:
     return [i for i in range(n) if i != qi]
 
 
@@ -224,7 +223,6 @@ def _wsd(q: Cloud, acc: _NeumaierSum, count: int, single_member_rule: bool) -> f
 def _wsd_direct(
     queries: Sequence[Cloud],
     population: Sequence[Cloud],
-    exclude: Optional[int],
     threads: int,
     single_member_rule: bool,
 ) -> list[float]:
@@ -238,13 +236,6 @@ def _wsd_direct(
     pop = list(population)
     if not pop:
         raise EmptyPopulation("population is empty")
-    if exclude is not None and not 0 <= check_integer(exclude, "exclude") < len(pop):
-        raise InvalidParameter(
-            f"exclude must index the population 0..{len(pop) - 1}, got {exclude}"
-        )
-    indices = _others(len(pop), exclude)
-    if not indices:
-        raise EmptyPopulation("population is empty after exclusion")
     check_dimensions([queries[0]] + pop)
 
     def fields(plan: Coupling, cost: float, a: Cloud, b: Cloud) -> list:
@@ -254,12 +245,11 @@ def _wsd_direct(
         return [_unit_field(q.points, c, images) for q, c in zip(queries, costs)]
 
     accs = [_NeumaierSum((q.m, q.d)) for q in queries]
-    members = [pop[i] for i in indices]
-    for row in solve_row(queries[0], members, fields, threads=threads):
+    for row in solve_row(queries[0], pop, fields, threads=threads):
         for acc, f in zip(accs, row):
             if f is not None:
                 acc.add(f)
-    return [_wsd(q, acc, len(indices), single_member_rule) for q, acc in zip(queries, accs)]
+    return [_wsd(q, acc, len(pop), single_member_rule) for q, acc in zip(queries, accs)]
 
 
 # Largest residual of an image under its fitted map x -> s*x + c, relative
@@ -347,7 +337,6 @@ def _wsd_loo(clouds: list[Cloud], threads: int, single_member_rule: bool) -> np.
 def wsd_empirical(
     q: Cloud,
     population: Sequence[Cloud],
-    exclude: Optional[int] = None,
     *,
     threads: int = 1,
 ) -> float:
@@ -358,29 +347,25 @@ def wsd_empirical(
     the fields are averaged; the depth is one minus the ``L2(q)`` norm of
     that average.  Members at distance zero contribute a zero field.
 
-    With a single effective member the normalized field is a unit vector,
-    so the depth is exactly ``0.0`` (or ``1.0`` at distance zero).
+    With a single member the normalized field is a unit vector, so the
+    depth is exactly ``0.0`` (or ``1.0`` at distance zero).
 
     Args:
         q: query cloud.
         population: clouds sharing ``q``'s dimension.
-        exclude: optional index to leave out (for members ranked against
-            the rest of their own collection).
         threads: worker threads for the per-member transport solves; the
             result is identical for any value.
 
     Raises:
-        EmptyPopulation: no members remain after exclusion.
+        EmptyPopulation: the population is empty.
         InvalidCloud: the query or a member is not a ``Cloud``.
         DimensionMismatch: a member lives in a different dimension.
-        InvalidParameter: ``threads`` not an integer >= 1, or ``exclude``
-            not an integer in ``0..len(population) - 1``; raised before any
+        InvalidParameter: ``threads`` not an integer >= 1, raised before any
             plan is solved.
         WsdError: a solve failed, typed as in ``solve_row`` and named
-            ``target k``, where ``k`` counts the members actually solved: the
-            population without ``exclude``.
+            ``target k`` for member ``k``.
     """
-    return _wsd_direct([q], population, exclude, threads, single_member_rule=True)[0]
+    return _wsd_direct([q], population, threads, single_member_rule=True)[0]
 
 
 def wsd_query_family(
@@ -419,7 +404,7 @@ def wsd_query_family(
     """
     queries = list(queries)
     _check_family(queries)
-    return _wsd_direct(queries, population, None, threads, single_member_rule=True)
+    return _wsd_direct(queries, population, threads, single_member_rule=True)
 
 
 def wsd_all(
@@ -431,8 +416,8 @@ def wsd_all(
     """Leave-one-out spatial depth of every cloud in a collection.
 
     Each unordered pair is solved once and its plan serves both clouds; the
-    value for each cloud matches an individual :func:`wsd_empirical` call with
-    ``exclude`` set.
+    value of cloud ``i`` equals ``wsd_empirical(clouds[i], clouds[:i] +
+    clouds[i + 1:])``, to the bit unless a pair takes the transport LP.
 
     Raises:
         EmptyPopulation: fewer than two clouds.
@@ -467,7 +452,7 @@ def wsd_discrete(
         EmptyPopulation: the population is empty.
         WsdError: a solve failed, named as in :func:`wsd_empirical`.
     """
-    return _wsd_direct([q], population, None, threads, single_member_rule=False)[0]
+    return _wsd_direct([q], population, threads, single_member_rule=False)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -506,42 +491,31 @@ def _metric_spatial_from_matrix(
     return min(2.0, max(0.0, 1.0 - 0.5 * mean))
 
 
-def _query_reduction(q, population, reduce) -> float:
-    """Apply a distance-matrix reduction to one query given as index or cloud.
+def _query_reduction(q: Cloud, population: Sequence[Cloud], reduce) -> float:
+    """Apply a distance-matrix reduction to one query against the population.
 
-    The matrix spans the query and the remaining members, with the query
-    first, so each pair is solved query -> member and member -> member in
-    ascending index order.
+    The matrix spans the query and the members, with the query first, so
+    each pair is solved query -> member and member -> member in ascending
+    index order.
     """
-    pop = list(population)
-    n = len(pop)
-    if isinstance(q, (int, np.integer)):
-        if not 0 <= q < n:
-            raise EmptyPopulation(f"query index {q} outside population of {n}")
-        q_idx: Optional[int] = int(q)
-        q_cloud = pop[q_idx]
-    else:
-        q_cloud = q
-        q_idx = next((i for i, p in enumerate(pop) if p is q_cloud), None)
-    others = _others(n, q_idx)
-    dist = w2_matrix([q_cloud] + [pop[i] for i in others])
-    return reduce(dist, 0, list(range(1, len(others) + 1)))
+    dist = w2_matrix([q] + list(population))
+    return reduce(dist, 0, list(range(1, dist.shape[0])))
 
 
-def lens_depth(q: Union[Cloud, int], population: Sequence[Cloud]) -> float:
+def lens_depth(q: Cloud, population: Sequence[Cloud]) -> float:
     """Fraction of population pairs whose mutual distance dominates both
     distances to the query (ties count).
 
-    ``q`` may be a population index (that member is left out of the pairs)
-    or an external cloud.
+    A member that is ``q`` itself counts, at distance zero.
 
     Raises:
-        TooFewDistributions: fewer than two members remain.
+        TooFewDistributions: fewer than two members.
+        InvalidCloud: an item that is not a ``Cloud``, before any solve.
     """
     return _query_reduction(q, population, _lens_from_matrix)
 
 
-def metric_spatial_depth(q: Union[Cloud, int], population: Sequence[Cloud]) -> float:
+def metric_spatial_depth(q: Cloud, population: Sequence[Cloud]) -> float:
     """Metric spatial depth from squared-distance cosines, valued in [0, 2].
 
     Averages ``(d_i^2 + d_j^2 - d_ij^2) / (d_i d_j)`` over ordered pairs of
@@ -549,7 +523,8 @@ def metric_spatial_depth(q: Union[Cloud, int], population: Sequence[Cloud]) -> f
     zero but stay in the denominator.
 
     Raises:
-        TooFewDistributions: fewer than two members remain.
+        TooFewDistributions: fewer than two members.
+        InvalidCloud: an item that is not a ``Cloud``, before any solve.
     """
     return _query_reduction(q, population, _metric_spatial_from_matrix)
 

@@ -70,12 +70,14 @@ def check_integer(value, name: str, least: Optional[int] = None) -> int:
 
     Raises:
         InvalidParameter: ``value`` is not an integer (a NumPy integer is
-            one, a float is not), or is below ``least``.
+            one; a float or a ``bool`` is not), or is below ``least``.
     """
     try:
         number = index(value)
     except TypeError:
-        raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
+        number = None
+    if number is None or isinstance(value, bool):
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}")
     if least is not None and number < least:
         raise InvalidParameter(f"{name} must be >= {least}, got {value}")
     return number

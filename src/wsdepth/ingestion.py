@@ -76,6 +76,10 @@ def _resolve_columns(manifest: IngestManifest, first_row: list) -> tuple[int, li
             coord_idx = [index(c, "coordinate column") for c in manifest.coord_cols]
     if not coord_idx:
         raise ParseError("no coordinate columns")
+    if group_idx in coord_idx:
+        raise ParseError(
+            f"group column {manifest.group_col!r} is also a coordinate column"
+        )
     return group_idx, coord_idx
 
 

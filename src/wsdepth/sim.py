@@ -36,6 +36,7 @@ __all__ = [
     "sample_experiment",
     "run_consistency",
     "query_cloud",
+    "analytic_value",
     "run_location_equivalence",
     "run_outlier_experiment",
     "run_kernel_comparison",
@@ -557,14 +558,12 @@ class ConsistencyRow(NamedTuple):
 @dataclass(frozen=True)
 class ConsistencyResult:
     rows: tuple
-    loo_mean_abs_gap: Optional[float]
     config: ExperimentConfig
 
 
 def run_consistency(
     config: ExperimentConfig,
     query_params: Optional[Sequence[float]] = None,
-    include_loo: bool = False,
 ) -> ConsistencyResult:
     """Depth of fixed-parameter queries against freshly sampled populations.
 
@@ -573,9 +572,7 @@ def run_consistency(
     to the closed-form value.  A case's queries are images of one another
     (a translation, a positive scale or, in one dimension, an increasing
     map), so one ``wsd_query_family`` call per repetition solves the plans
-    of the first query only.  With ``include_loo`` the leave-one-out depths
-    of the sampled clouds themselves are also measured against the closed
-    form at their generating parameters.
+    of the first query only.
 
     Raises:
         InvalidParameter: ``config`` belongs to another experiment, or (from
@@ -590,17 +587,12 @@ def run_consistency(
     analytic_values = [entry.depth(p) for p in params]
     family = [entry.query(p, config.m) for p in params]
     depths: list[list[float]] = [[] for _ in params]  # per query, by repetition
-    loo_gaps: list[float] = []
     for rep in range(config.repetitions):
         data = sample_two_stage(config, rep=rep)
         if family:
             values = wsd_query_family(family, data.clouds, threads=config.threads)
             for column, value in zip(depths, values):
                 column.append(value)
-        if include_loo:
-            report = wsd_all(data.clouds, threads=config.threads)
-            for i, value in enumerate(report.values):
-                loo_gaps.append(abs(value - entry.depth(data.params[i])))
     rows = []
     for p, closed_form, column in zip(params, analytic_values, depths):
         obs = np.asarray(column)
@@ -614,8 +606,7 @@ def run_consistency(
                 repetitions=obs.size,
             )
         )
-    loo_gap = float(np.mean(loo_gaps)) if loo_gaps else None
-    return ConsistencyResult(rows=tuple(rows), loo_mean_abs_gap=loo_gap, config=config)
+    return ConsistencyResult(rows=tuple(rows), config=config)
 
 
 # ---------------------------------------------------------------------------

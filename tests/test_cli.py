@@ -137,6 +137,30 @@ def test_headerless_column_index_outside_the_row_is_rejected(
     assert not (tmp_path / "x.jsonl").exists()
 
 
+@pytest.mark.parametrize(
+    "flags, rows",
+    [
+        (["--group-col", "g", "--coord-cols", "g,x"], "g,x\n"),
+        (["--group-col", "g", "--coord-cols", ""], "g,x\n"),
+        (["--no-header", "--group-col", "0", "--coord-cols", "1,0"], ""),
+        (["--no-header", "--group-col", "0", "--coord-cols", ""], ""),
+    ],
+    ids=["group-as-coordinate", "empty-coordinates", "headerless-group-as-coordinate",
+         "headerless-empty-coordinates"],
+)
+def test_cmd_depth_refuses_a_column_selection_without_its_own_coordinates(
+    flags, rows, tmp_path, capsys
+):
+    rows += "".join(f"{g},{x}\n" for g, x in [(1, 0.0), (1, 1.0), (2, 5.0), (3, 2.0)])
+    out = tmp_path / "x.jsonl"
+    code = main(["depth", "--input", write(tmp_path / "g.csv", rows), *flags,
+                 "--out", str(out)])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out.exists()
+
+
 def _unreadable(tmp_path):
     path = tmp_path / "locked.csv"
     path.write_text("group,x0\na,1\n")

@@ -84,22 +84,7 @@ def test_empty_population_raises(rng):
     with pytest.raises(EmptyPopulation):
         wsd_empirical(q, [])
     with pytest.raises(EmptyPopulation):
-        wsd_empirical(q, [q], exclude=0)
-    with pytest.raises(EmptyPopulation):
         wsd_all([q])
-
-
-@pytest.mark.parametrize(
-    "exclude", [4, -1, -3, 1.5, 1.0, "1"],
-    ids=["len", "minus-1", "minus-3", "float", "integral-float", "string"],
-)
-def test_exclude_outside_the_population_is_rejected_before_solving(
-    exclude, rng, monkeypatch
-):
-    refuse_solves(monkeypatch)
-    clouds = [make_cloud(rng, 4, 2) for _ in range(4)]
-    with pytest.raises(InvalidParameter, match="exclude"):
-        wsd_empirical(clouds[0], clouds, exclude=exclude)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +96,8 @@ def test_wsd_all_matches_individual_calls_bitwise(rng):
     clouds = [make_cloud(rng, 7, 2) for _ in range(6)]
     report = wsd_all(clouds)
     for i in range(6):
-        assert report.values[i] == wsd_empirical(clouds[i], clouds, exclude=i)
+        rest = clouds[:i] + clouds[i + 1:]
+        assert report.values[i] == wsd_empirical(clouds[i], rest)
 
 
 def test_wsd_all_threaded_is_bit_identical(rng):
@@ -232,23 +218,16 @@ def test_lens_depth_coincident_query_counts_ties():
     assert lens_depth(point_mass(-3.0), pop_far) == 0.0
 
 
-def test_lens_depth_excludes_query_index(rng):
-    pop = [make_cloud(rng, 4, 2) for _ in range(5)]
-    by_index = lens_depth(2, pop)
-    external = lens_depth(pop[2], pop)  # same object, excluded via identity
-    assert by_index == external
-
-
 def test_lens_depth_needs_two_members(rng):
     pop = [make_cloud(rng, 4, 2) for _ in range(2)]
     with pytest.raises(TooFewDistributions):
-        lens_depth(0, pop)
+        lens_depth(pop[0], pop[1:])
 
 
 def test_lens_depth_range(rng):
     pop = [make_cloud(rng, 5, 2) for _ in range(6)]
     for i in range(6):
-        assert 0.0 <= lens_depth(i, pop) <= 1.0
+        assert 0.0 <= lens_depth(pop[i], pop[:i] + pop[i + 1:]) <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -287,9 +266,18 @@ def test_metric_depth_zero_distance_pairs_are_skipped():
 def test_metric_depth_range_and_exclusion(rng):
     pop = [make_cloud(rng, 5, 2) for _ in range(5)]
     for i in range(5):
-        assert 0.0 <= metric_spatial_depth(i, pop) <= 2.0
+        assert 0.0 <= metric_spatial_depth(pop[i], pop[:i] + pop[i + 1:]) <= 2.0
     with pytest.raises(TooFewDistributions):
-        metric_spatial_depth(0, pop[:2])
+        metric_spatial_depth(pop[0], pop[1:2])
+
+
+@pytest.mark.parametrize("depth", [lens_depth, metric_spatial_depth])
+def test_a_query_that_is_a_member_counts_at_distance_zero(depth, rng):
+    # the query is ranked against exactly the population it is given: the
+    # member that is the query object stays, like an equal copy of it
+    pop = [make_cloud(rng, 5, 2) for _ in range(5)]
+    assert depth(pop[2], pop) == depth(Cloud(pop[2].points), pop)
+    assert depth(pop[2], pop) != depth(pop[2], pop[:2] + pop[3:])
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +483,8 @@ def test_compute_depths_matches_direct_functions(rng):
         )
     lens_report = compute_depths(clouds, "lens")
     for i in range(4):
-        assert lens_report.values[i] == lens_depth(i, clouds)
+        rest = clouds[:i] + clouds[i + 1:]
+        assert lens_report.values[i] == lens_depth(clouds[i], rest)
 
 
 @pytest.mark.parametrize(
@@ -521,6 +510,7 @@ def test_compute_depths_matches_direct_functions(rng):
         {"method": "lens", "threshold_quantile": None},
         {"method": "kernel_spatial", "bandwidth": "1"},
         {"method": "kernel_spatial", "bandwidth": 1j},
+        {"threads": True},
     ],
 )
 def test_compute_depths_rejects_parameters_before_solving(kwargs, rng, monkeypatch):
@@ -543,6 +533,10 @@ def test_items_that_are_not_clouds_are_refused_before_solving(rng, monkeypatch):
         lambda: lens_depth(1.0, clouds),
         lambda: metric_spatial_depth(arrays[0], clouds),
         lambda: kernel_spatial_depth(arrays[0], clouds, 1.0),
+        # an integer is not a query, nor a stand-in for a member's index
+        lambda: lens_depth(2, clouds),
+        lambda: lens_depth(True, clouds),
+        lambda: metric_spatial_depth(0, clouds),
     ]:
         with pytest.raises(InvalidCloud, match="not a Cloud"):
             run()
@@ -589,9 +583,8 @@ def test_compute_depths_rejects_mixed_dimensions(method, rng):
 def test_single_queries_reject_mixed_dimensions_before_solving(rng, monkeypatch):
     refuse_solves(monkeypatch)
     clouds = [make_cloud(rng, 4, 2) for _ in range(3)] + [make_cloud(rng, 4, 3)]
-    # the odd member is checked even where ``exclude`` leaves it out
     for run in (
-        lambda: wsd_empirical(clouds[0], clouds, exclude=3),
+        lambda: wsd_empirical(clouds[0], clouds[1:]),
         lambda: wsd_discrete(clouds[0], clouds),
         lambda: kernel_spatial_depth(clouds[3], clouds[:3], 1.0),
         lambda: solve_row(clouds[3], clouds[:3], lambda *args: None),

@@ -1,6 +1,7 @@
 """Module boundaries: every exported name resolves, no module of the
-package reaches into another module's private names, and importing the
-package leaves out what only one experiment needs."""
+package reaches into another module's private names, every module-level
+definition is exported or used, and importing the package leaves out what
+only one experiment needs."""
 import ast
 import importlib
 import os
@@ -126,6 +127,56 @@ def test_the_unused_import_check_sees_a_leftover():
         "index(scipy.sparse.csr_matrix)\n"
     )
     assert _unused_imports(source) == [(2, "itemgetter"), (4, "np")]
+
+
+def _dead_definitions(sources: dict) -> list:
+    """``module.name`` for each module-level function or class that its
+    module leaves out of ``__all__`` and that no other code of the package
+    refers to, by name, attribute or import."""
+    defined, exported, refs = [], set(), {}  # refs: top-level node -> names
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name, node))
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                exported |= {(module, n) for n in ast.literal_eval(node.value)}
+            names = set()
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+                elif isinstance(sub, ast.alias):
+                    names.add(sub.name)
+            refs[node] = names
+    return [
+        f"{module}.{name}"
+        for module, name, node in defined
+        if (module, name) not in exported
+        and not any(name in names for other, names in refs.items() if other is not node)
+    ]
+
+
+def test_every_definition_is_exported_or_used():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert len(sources) >= len(MODULES)
+    assert _dead_definitions(sources) == []
+
+
+def test_the_dead_definition_check_sees_a_leftover():
+    sources = {
+        "a": (
+            "__all__ = ['shown']\n"
+            "def shown(): return _helper()\n"
+            "def _helper(): return 1\n"
+            "def _recursive(n): return _recursive(n - 1)\n"
+            "class Orphan: pass\n"
+        ),
+        "b": "from .a import shown\ndef _called(): pass\n_TABLE = {'x': _called}\n",
+    }
+    assert _dead_definitions(sources) == ["a._recursive", "a.Orphan"]
 
 
 def test_importing_the_package_leaves_scipy_stats_to_the_experiment_using_it():

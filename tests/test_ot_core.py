@@ -455,10 +455,9 @@ def test_pair_failures_are_typed_and_name_the_pair(raised, expected, rng, monkey
     # sizes that do not divide: every pair takes the LP path
     ragged = [make_cloud(rng, m, 2) for m in (3, 4, 5)]
 
-    # cloud 0 against the others, so target 0 is cloud 1; ``exclude`` leaves
-    # cloud 0 out of the full collection
+    # cloud 0 against the others, so target 0 is cloud 1
     def empirical(collection):
-        return wsd_empirical(collection[0], collection, exclude=0)
+        return wsd_empirical(collection[0], collection[1:])
 
     def discrete(collection):
         return wsd_discrete(collection[0], collection[1:])
@@ -910,7 +909,7 @@ def _row_outputs(clouds, threads):
         w2_matrix(clouds, threads=threads).tobytes(),
         wsd_all(clouds, threads=threads).values.tobytes(),
         wsd_discrete(clouds[0], clouds[1:], threads=threads),
-        wsd_empirical(clouds[1], clouds, exclude=1, threads=threads),
+        wsd_empirical(clouds[1], clouds[:1] + clouds[2:], threads=threads),
         wsd_empirical(clouds[-1], clouds[:-1], threads=threads),
     ]
 
@@ -974,7 +973,7 @@ def test_a_failed_batch_is_solved_again_pair_by_pair(kind, rng, monkeypatch):
         return [
             w2_matrix(clouds, threads=threads).tobytes(),
             wsd_all(clouds, threads=threads).values.tobytes(),
-            wsd_empirical(clouds[1], clouds, exclude=1, threads=threads),
+            wsd_empirical(clouds[1], clouds[:1] + clouds[2:], threads=threads),
         ]
 
     want = {threads: outputs(threads) for threads in (1, 2, 3)}

@@ -192,17 +192,10 @@ def test_run_consistency_case2_targets_half():
         assert row.repetitions == 2
 
 
-def test_run_consistency_loo_track():
-    cfg = config(case=1, n=8, m=30, repetitions=1)
-    result = run_consistency(cfg, include_loo=True)
-    assert result.loo_mean_abs_gap is not None
-    assert 0.0 <= result.loo_mean_abs_gap <= 1.0
-
-
 @pytest.mark.parametrize(
     "field, value",
     [("n", 4.0), ("m", 3.5), ("d", 2.5), ("repetitions", 1.5), ("seed", 1.5),
-     ("case", 1.0), ("case", "1")],
+     ("case", 1.0), ("case", "1"), ("n", True), ("case", True)],
 )
 def test_config_refuses_integer_fields_that_are_not_integers(field, value):
     base = dict(experiment="location_equivalence", case=1, n=4, m=5, d=2, seed=1)
@@ -211,7 +204,7 @@ def test_config_refuses_integer_fields_that_are_not_integers(field, value):
     assert ExperimentConfig(**{**base, field: np.int64(1 if field == "case" else 3)})
 
 
-@pytest.mark.parametrize("rep", [1.5, 1.0, "1"])
+@pytest.mark.parametrize("rep", [1.5, 1.0, "1", True])
 def test_sampling_refuses_a_repetition_that_is_not_an_integer(rep, monkeypatch):
     monkeypatch.setattr(wsdepth.sim, "substream", _refuse)
     with pytest.raises(InvalidParameter, match="^repetition must be an integer"):
