@@ -8,9 +8,10 @@ spatial, kernel-embedding spatial) share the same report format.
 
 Every depth is one pass over the cloud pairs (a sweep of transport plans, a
 distance matrix or an embedding Gram matrix) followed by one reduction per
-query, and the leave-one-out reports reuse the same reductions as the
-single-query calls.  A plan lives only until its fields or its distance
-have been taken, so a leave-one-out report holds one accumulator per cloud.
+index; ``compute_depths`` is the one leave-one-out front end, and a single
+query is the same reduction at its own index.  A plan lives only until its
+fields or its distance have been taken, so a leave-one-out report holds one
+accumulator per cloud.
 
 Determinism contract: population terms are accumulated in ascending index
 order with Neumaier compensation, and scalar reductions use ``math.fsum``,
@@ -84,8 +85,10 @@ class DepthReport:
 
 def check_threshold(threshold_quantile: float) -> None:
     """Raises ``InvalidParameter`` unless the quantile is a real number in
-    [0, 1]."""
-    if not isinstance(threshold_quantile, Real):
+    [0, 1] (a ``bool`` is not one)."""
+    if isinstance(threshold_quantile, bool) or not isinstance(
+        threshold_quantile, Real
+    ):
         raise InvalidParameter(
             f"threshold quantile must be a real number, got {threshold_quantile!r}"
         )
@@ -97,9 +100,9 @@ def check_threshold(threshold_quantile: float) -> None:
 
 def check_bandwidth(bandwidth: float) -> None:
     """Raises ``NonpositiveBandwidth`` unless the kernel bandwidth is a real
-    number > 0 and its kernel scale ``0.5 / bandwidth**2`` is a nonzero
-    finite float."""
-    if not isinstance(bandwidth, Real):
+    number > 0 (a ``bool`` is not one) and its kernel scale
+    ``0.5 / bandwidth**2`` is a nonzero finite float."""
+    if isinstance(bandwidth, bool) or not isinstance(bandwidth, Real):
         raise NonpositiveBandwidth(f"bandwidth must be a real number, got {bandwidth!r}")
     if not bandwidth > 0:
         raise NonpositiveBandwidth(f"bandwidth must be > 0, got {bandwidth}")
@@ -135,19 +138,6 @@ def make_report(
         outlier_flags=flags,
         threshold_quantile=threshold_quantile,
     )
-
-
-def _collection(data, threshold_quantile: float) -> list[Cloud]:
-    """The clouds of a collection to rank leave-one-out, parameters checked."""
-    check_threshold(threshold_quantile)
-    clouds = list(getattr(data, "clouds", data))
-    if len(clouds) < 2:
-        raise EmptyPopulation(f"need at least 2 clouds, got {len(clouds)}")
-    return clouds
-
-
-def _others(n: int, qi: int) -> list[int]:
-    return [i for i in range(n) if i != qi]
 
 
 # ---------------------------------------------------------------------------
@@ -413,22 +403,16 @@ def wsd_all(
     *,
     threads: int = 1,
 ) -> DepthReport:
-    """Leave-one-out spatial depth of every cloud in a collection.
+    """Leave-one-out spatial depth of every cloud in a collection: exactly
+    ``compute_depths(data, "wsd", ...)``, with its checks and errors.
 
     Each unordered pair is solved once and its plan serves both clouds; the
     value of cloud ``i`` equals ``wsd_empirical(clouds[i], clouds[:i] +
     clouds[i + 1:])``, to the bit unless a pair takes the transport LP.
-
-    Raises:
-        EmptyPopulation: fewer than two clouds.
-        InvalidParameter: a threshold that is not a real number in [0, 1]
-            or ``threads`` not an integer >= 1, before any plan is solved.
-        InvalidCloud: an item that is not a ``Cloud``, before any plan is
-            solved.
     """
-    clouds = _collection(data, threshold_quantile)
-    values = _wsd_loo(clouds, threads, single_member_rule=True)
-    return make_report(values, "wsd", threshold_quantile)
+    return compute_depths(
+        data, "wsd", threshold_quantile=threshold_quantile, threads=threads
+    )
 
 
 def wsd_discrete(
@@ -460,46 +444,31 @@ def wsd_discrete(
 # ---------------------------------------------------------------------------
 
 
-def _member_pairs(dist: np.ndarray, qi: int, members: list[int], name: str):
-    """``(d_i, d_j, d_ij)`` for every unordered pair of members ``i < j``,
-    with ``d_i`` the distance from the query ``qi`` to member ``i``."""
-    if len(members) < 2:
-        raise TooFewDistributions(
-            f"{name} needs >= 2 population members, got {len(members)}"
-        )
-    m = np.asarray(members)
+def _member_pairs(dist: np.ndarray, qi: int, name: str):
+    """``(d_i, d_j, d_ij)`` for every pair ``i < j`` of members (every index
+    but the query ``qi``), ``d_i`` being the query's distance to ``i``."""
+    m = np.delete(np.arange(dist.shape[0]), qi)
+    if len(m) < 2:
+        raise TooFewDistributions(f"{name} needs >= 2 population members, got {len(m)}")
     a, b = np.triu_indices(len(m), 1)
     return dist[qi, m[a]], dist[qi, m[b]], dist[m[a], m[b]]
 
 
-def _lens_from_matrix(dist: np.ndarray, qi: int, members: list[int]) -> float:
-    di, dj, dij = _member_pairs(dist, qi, members, "lens depth")
+def _lens(dist: np.ndarray, qi: int) -> float:
+    di, dj, dij = _member_pairs(dist, qi, "lens depth")
     hits = int(np.count_nonzero(dij >= np.maximum(di, dj)))
     return hits / dij.shape[0]
 
 
-def _metric_spatial_from_matrix(
-    dist: np.ndarray, qi: int, members: list[int]
-) -> float:
-    di, dj, dij = _member_pairs(dist, qi, members, "metric spatial depth")
+def _metric_spatial(dist: np.ndarray, qi: int) -> float:
+    di, dj, dij = _member_pairs(dist, qi, "metric spatial depth")
     keep = (di != 0.0) & (dj != 0.0)
     di, dj, dij = di[keep], dj[keep], dij[keep]
     # each unordered pair stands for two equal ordered terms
     summands = 2.0 * (di * di + dj * dj - dij * dij) / (di * dj)
-    k = len(members)
+    k = dist.shape[0] - 1
     mean = math.fsum(summands.tolist()) / (k * (k - 1))
     return min(2.0, max(0.0, 1.0 - 0.5 * mean))
-
-
-def _query_reduction(q: Cloud, population: Sequence[Cloud], reduce) -> float:
-    """Apply a distance-matrix reduction to one query against the population.
-
-    The matrix spans the query and the members, with the query first, so
-    each pair is solved query -> member and member -> member in ascending
-    index order.
-    """
-    dist = w2_matrix([q] + list(population))
-    return reduce(dist, 0, list(range(1, dist.shape[0])))
 
 
 def lens_depth(q: Cloud, population: Sequence[Cloud]) -> float:
@@ -512,7 +481,7 @@ def lens_depth(q: Cloud, population: Sequence[Cloud]) -> float:
         TooFewDistributions: fewer than two members.
         InvalidCloud: an item that is not a ``Cloud``, before any solve.
     """
-    return _query_reduction(q, population, _lens_from_matrix)
+    return _lens(w2_matrix([q, *population]), 0)
 
 
 def metric_spatial_depth(q: Cloud, population: Sequence[Cloud]) -> float:
@@ -526,7 +495,7 @@ def metric_spatial_depth(q: Cloud, population: Sequence[Cloud]) -> float:
         TooFewDistributions: fewer than two members.
         InvalidCloud: an item that is not a ``Cloud``, before any solve.
     """
-    return _query_reduction(q, population, _metric_spatial_from_matrix)
+    return _metric_spatial(w2_matrix([q, *population]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -542,6 +511,8 @@ def _embedding_gram(clouds: Sequence[Cloud], bandwidth: float) -> np.ndarray:
             some points differ: the bandwidth is too large for the data, and
             every depth would be 1.
     """
+    check_bandwidth(bandwidth)
+    check_dimensions(clouds)
     n = len(clouds)
     gram = np.zeros((n, n))
     scale = -0.5 / (bandwidth * bandwidth)
@@ -568,8 +539,8 @@ def _embedding_gram(clouds: Sequence[Cloud], bandwidth: float) -> np.ndarray:
     return gram
 
 
-def _kernel_depth_from_gram(gram: np.ndarray, qi: int, members) -> float:
-    idx = np.asarray(members, dtype=np.int64)
+def _kernel_spatial(gram: np.ndarray, qi: int) -> float:
+    idx = np.delete(np.arange(gram.shape[0]), qi)
     n = idx.shape[0]
     qq = gram[qi, qi]
     gq = gram[idx, qi]
@@ -585,16 +556,6 @@ def _kernel_depth_from_gram(gram: np.ndarray, qi: int, members) -> float:
     return min(1.0, max(0.0, 1.0 - math.sqrt(radicand)))
 
 
-def _kernel_loo(clouds: list[Cloud], bandwidth: float, queries) -> list[float]:
-    """Kernel spatial depth of each query index against every other cloud."""
-    check_bandwidth(bandwidth)
-    check_dimensions(clouds)
-    gram = _embedding_gram(clouds, bandwidth)
-    return [
-        _kernel_depth_from_gram(gram, qi, _others(len(clouds), qi)) for qi in queries
-    ]
-
-
 def kernel_spatial_depth(
     q: Cloud,
     population: Sequence[Cloud],
@@ -605,6 +566,8 @@ def kernel_spatial_depth(
     Embedding inner products are cross-means of ``exp(-||x - y||^2 / 2h^2)``
     over sample pairs; the depth is one minus the norm of the average unit
     displacement in the embedding space, with zero displacements skipped.
+    The Gram matrix holds the query last, so the value equals the
+    leave-one-out value of the last cloud of ``population + [q]``.
 
     Raises:
         NonpositiveBandwidth: ``bandwidth <= 0``, or ``0.5 / bandwidth**2``
@@ -616,7 +579,8 @@ def kernel_spatial_depth(
     pop = list(population)
     if not pop:
         raise EmptyPopulation("population is empty")
-    return _kernel_loo(pop + [q], bandwidth, [len(pop)])[0]
+    check_dimensions([q, *pop])
+    return _kernel_spatial(_embedding_gram(pop + [q], bandwidth), len(pop))
 
 
 # ---------------------------------------------------------------------------
@@ -635,26 +599,29 @@ def compute_depths(
     """Leave-one-out depth report for a collection, under any method tag.
 
     Raises:
-        InvalidParameter: an unknown method, a threshold outside [0, 1],
-            ``threads`` not an integer >= 1 or (kernel method) a bandwidth
-            that ``check_bandwidth`` rejects, all before any transport plan
-            is solved; (kernel method) a bandwidth so large that every
-            kernel entry rounds to 1 although some points differ.
+        InvalidParameter: an unknown method, ``threads`` not an integer
+            >= 1, a threshold outside [0, 1] (in that order) or (kernel
+            method) a bandwidth that ``check_bandwidth`` rejects, all before
+            any transport plan is solved; (kernel method) a bandwidth so
+            large that every kernel entry rounds to 1 although some points
+            differ.
         EmptyPopulation: fewer than two clouds.
+        InvalidCloud: an item that is not a ``Cloud``, before any solve.
     """
     if method not in DEPTH_METHODS:
         raise InvalidParameter(f"unknown depth method {method!r}")
     check_threads(threads)
-    if method == "wsd":
-        return wsd_all(clouds, threshold_quantile, threads=threads)
-    clouds = _collection(clouds, threshold_quantile)
-    n = len(clouds)
-    if method == "wsd_discrete":
-        values = _wsd_loo(clouds, threads, single_member_rule=False)
-    elif method == "kernel_spatial":
-        values = _kernel_loo(clouds, bandwidth, range(n))
+    check_threshold(threshold_quantile)
+    clouds = list(getattr(clouds, "clouds", clouds))
+    if len(clouds) < 2:
+        raise EmptyPopulation(f"need at least 2 clouds, got {len(clouds)}")
+    if method in ("wsd", "wsd_discrete"):
+        values = _wsd_loo(clouds, threads, single_member_rule=method == "wsd")
     else:
-        reduce = _lens_from_matrix if method == "lens" else _metric_spatial_from_matrix
-        dist = w2_matrix(clouds, threads=threads)
-        values = [reduce(dist, qi, _others(n, qi)) for qi in range(n)]
+        if method == "kernel_spatial":
+            reduce, matrix = _kernel_spatial, _embedding_gram(clouds, bandwidth)
+        else:
+            reduce = _lens if method == "lens" else _metric_spatial
+            matrix = w2_matrix(clouds, threads=threads)
+        values = [reduce(matrix, qi) for qi in range(len(clouds))]
     return make_report(values, method, threshold_quantile)

@@ -14,6 +14,7 @@ from wsdepth import (
     InvalidParameter,
     NonpositiveBandwidth,
     TooFewDistributions,
+    WsdError,
     compute_depths,
     kernel_spatial_depth,
     lens_depth,
@@ -23,7 +24,7 @@ from wsdepth import (
     wsd_empirical,
     wsd_query_family,
 )
-from wsdepth.depth import _embedding_gram, _kernel_depth_from_gram, make_report
+from wsdepth.depth import _embedding_gram, _kernel_spatial, make_report
 from wsdepth.ot_core import cost_matrix, solve_row
 
 from conftest import make_cloud, refuse_solves, triple_sum_depth
@@ -418,9 +419,7 @@ def test_kernel_reduction_equals_double_loop_bitwise(rng):
         for _ in range(int(rng.integers(0, 3))):
             _copy_member(gram, int(rng.integers(n)), int(rng.integers(n)))
         members = [i for i in range(n) if i != qi]
-        assert _kernel_depth_from_gram(gram, qi, members) == loop_kernel_depth(
-            gram, qi, members
-        )
+        assert _kernel_spatial(gram, qi) == loop_kernel_depth(gram, qi, members)
 
 
 def _gram_per_pair(clouds, bandwidth):
@@ -485,6 +484,16 @@ def test_compute_depths_matches_direct_functions(rng):
     for i in range(4):
         rest = clouds[:i] + clouds[i + 1:]
         assert lens_report.values[i] == lens_depth(clouds[i], rest)
+    # a single query is the leave-one-out reduction at its own index of the
+    # same matrix: first for the metric depth, last for the kernel depth;
+    # the ragged and weighted pairs take the transport LP
+    for _ in range(5):
+        mixed = [make_cloud(rng, m, 2, uniform=m != 6) for m in (5, 7, 6, 8, 5, 6)]
+        metric = compute_depths(mixed, "metric_spatial").values
+        assert metric_spatial_depth(mixed[0], mixed[1:]) == metric[0]
+        for h in (0.5, 2.0):
+            kernel = compute_depths(mixed, "kernel_spatial", bandwidth=h).values
+            assert kernel_spatial_depth(mixed[-1], mixed[:-1], h) == kernel[-1]
 
 
 @pytest.mark.parametrize(
@@ -511,6 +520,8 @@ def test_compute_depths_matches_direct_functions(rng):
         {"method": "kernel_spatial", "bandwidth": "1"},
         {"method": "kernel_spatial", "bandwidth": 1j},
         {"threads": True},
+        {"threshold_quantile": True},
+        {"method": "kernel_spatial", "bandwidth": True},
     ],
 )
 def test_compute_depths_rejects_parameters_before_solving(kwargs, rng, monkeypatch):
@@ -518,6 +529,27 @@ def test_compute_depths_rejects_parameters_before_solving(kwargs, rng, monkeypat
     clouds = [make_cloud(rng, 4, 2) for _ in range(4)]
     with pytest.raises(InvalidParameter):
         compute_depths(clouds, **kwargs)
+
+
+_ONE = Cloud(np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize(
+    "data, kwargs",
+    [
+        ([_ONE], {"threads": 0}),
+        ([_ONE, 5], {"threads": 0}),
+        ([_ONE, _ONE], {"threshold_quantile": 2.0, "threads": 0}),
+    ],
+    ids=["one-cloud", "not-a-cloud", "threshold-and-threads"],
+)
+def test_wsd_all_refuses_as_compute_depths_does(data, kwargs):
+    refused = []
+    for run in (wsd_all, lambda data, **kw: compute_depths(data, "wsd", **kw)):
+        with pytest.raises(WsdError) as info:
+            run(data, **kwargs)
+        refused.append((type(info.value), str(info.value)))
+    assert refused[0] == refused[1]
 
 
 def test_items_that_are_not_clouds_are_refused_before_solving(rng, monkeypatch):
@@ -591,6 +623,18 @@ def test_single_queries_reject_mixed_dimensions_before_solving(rng, monkeypatch)
     ):
         with pytest.raises(DimensionMismatch):
             run()
+    # every single query names the query cloud 0, the members 1, 2, ...
+    for depth in (
+        wsd_empirical,
+        wsd_discrete,
+        lens_depth,
+        metric_spatial_depth,
+        lambda q, population: kernel_spatial_depth(q, population, 1.0),
+    ):
+        with pytest.raises(DimensionMismatch, match="^cloud 0 has d=3 but cloud 1 "):
+            depth(clouds[3], clouds[:3])
+        with pytest.raises(InvalidCloud, match="^cloud 0 is not a Cloud"):
+            depth(np.zeros((4, 2)), clouds[:3])
 
 
 # ---------------------------------------------------------------------------

@@ -44,10 +44,10 @@ def test_config_rejects_bad_values():
         config(m=0)
     with pytest.raises(InvalidParameter):
         config(repetitions=0)
-    for threshold in (1.5, "x", None):
+    for threshold in (1.5, "x", None, True):
         with pytest.raises(InvalidParameter):
             config(threshold_quantile=threshold)
-    for bandwidth in (0.0, 1e-170, 1e-160, math.inf, 1e200, "x", None):
+    for bandwidth in (0.0, 1e-170, 1e-160, math.inf, 1e200, "x", None, True):
         with pytest.raises(InvalidParameter):
             config(bandwidth=bandwidth)
     for threads in (0, 1.5, "2"):
