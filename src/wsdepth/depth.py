@@ -40,6 +40,7 @@ from .ot_core import (
     barycentric_map,
     check_dimensions,
     check_threads,
+    cloud_list,
     cost_blocks,
     pair_sweep,
     plan_cost,
@@ -80,7 +81,6 @@ class DepthReport:
     ranks: np.ndarray
     method: str
     outlier_flags: np.ndarray
-    threshold_quantile: float
 
 
 def check_threshold(threshold_quantile: float) -> None:
@@ -131,13 +131,7 @@ def make_report(
     flags[order[:k]] = True
     for arr in (values, ranks, flags):
         arr.setflags(write=False)
-    return DepthReport(
-        values=values,
-        ranks=ranks,
-        method=method,
-        outlier_flags=flags,
-        threshold_quantile=threshold_quantile,
-    )
+    return DepthReport(values=values, ranks=ranks, method=method, outlier_flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +217,7 @@ def _wsd_direct(
     and takes its fields from those plans, its own costs and the same
     barycentric images.
     """
-    pop = list(population)
+    pop = cloud_list(population)
     if not pop:
         raise EmptyPopulation("population is empty")
     check_dimensions([queries[0]] + pop)
@@ -348,7 +342,8 @@ def wsd_empirical(
 
     Raises:
         EmptyPopulation: the population is empty.
-        InvalidCloud: the query or a member is not a ``Cloud``.
+        InvalidCloud: the query or a member is not a ``Cloud``, or the
+            population cannot be iterated.
         DimensionMismatch: a member lives in a different dimension.
         InvalidParameter: ``threads`` not an integer >= 1, raised before any
             plan is solved.
@@ -388,11 +383,12 @@ def wsd_query_family(
     Raises:
         InvalidParameter: no queries, or a query that breaks the conditions
             above; raised before any plan is solved.
-        InvalidCloud: a query is not a ``Cloud``, before any plan is solved.
+        InvalidCloud: a query is not a ``Cloud``, or the queries cannot be
+            iterated, before any plan is solved.
         EmptyPopulation, DimensionMismatch, WsdError: as in
             :func:`wsd_empirical`.
     """
-    queries = list(queries)
+    queries = cloud_list(queries)
     _check_family(queries)
     return _wsd_direct(queries, population, threads, single_member_rule=True)
 
@@ -429,8 +425,13 @@ def wsd_discrete(
     factorizes the pair integral into an inner product of per-member
     conditional-mean fields, so the value is computed from the barycentric
     projections; the tests pin this algebra against an exhaustive sum over
-    plan entries.  Coincides with :func:`wsd_empirical` whenever every plan
-    is a permutation.
+    plan entries.
+
+    It reads the same fields as :func:`wsd_empirical`, so with two or more
+    members the two are equal to the bit.  They differ only for a single
+    member: ``wsd_empirical`` then gives exactly ``0.0`` (``1.0`` at
+    distance zero), while this keeps the contracted field of a split plan;
+    where that plan is a map the two agree to rounding.
 
     Raises:
         EmptyPopulation: the population is empty.
@@ -479,9 +480,10 @@ def lens_depth(q: Cloud, population: Sequence[Cloud]) -> float:
 
     Raises:
         TooFewDistributions: fewer than two members.
-        InvalidCloud: an item that is not a ``Cloud``, before any solve.
+        InvalidCloud: an item that is not a ``Cloud``, or a population that
+            cannot be iterated, before any solve.
     """
-    return _lens(w2_matrix([q, *population]), 0)
+    return _lens(w2_matrix([q, *cloud_list(population)]), 0)
 
 
 def metric_spatial_depth(q: Cloud, population: Sequence[Cloud]) -> float:
@@ -493,9 +495,10 @@ def metric_spatial_depth(q: Cloud, population: Sequence[Cloud]) -> float:
 
     Raises:
         TooFewDistributions: fewer than two members.
-        InvalidCloud: an item that is not a ``Cloud``, before any solve.
+        InvalidCloud: an item that is not a ``Cloud``, or a population that
+            cannot be iterated, before any solve.
     """
-    return _metric_spatial(w2_matrix([q, *population]), 0)
+    return _metric_spatial(w2_matrix([q, *cloud_list(population)]), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +578,10 @@ def kernel_spatial_depth(
         InvalidParameter: a bandwidth so large that every kernel entry
             rounds to 1 although some points differ.
         EmptyPopulation: the population is empty.
+        InvalidCloud: an item that is not a ``Cloud``, or a population that
+            cannot be iterated, before any solve.
     """
-    pop = list(population)
+    pop = cloud_list(population)
     if not pop:
         raise EmptyPopulation("population is empty")
     check_dimensions([q, *pop])
@@ -606,13 +611,15 @@ def compute_depths(
             large that every kernel entry rounds to 1 although some points
             differ.
         EmptyPopulation: fewer than two clouds.
-        InvalidCloud: an item that is not a ``Cloud``, before any solve.
+        InvalidCloud: an item that is not a ``Cloud``, or ``clouds`` that
+            cannot be iterated (a single ``Cloud`` or a sample object: pass
+            its ``clouds``), before any solve.
     """
     if method not in DEPTH_METHODS:
         raise InvalidParameter(f"unknown depth method {method!r}")
     check_threads(threads)
     check_threshold(threshold_quantile)
-    clouds = list(getattr(clouds, "clouds", clouds))
+    clouds = cloud_list(clouds)
     if len(clouds) < 2:
         raise EmptyPopulation(f"need at least 2 clouds, got {len(clouds)}")
     if method in ("wsd", "wsd_discrete"):

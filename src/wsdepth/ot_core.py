@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from itertools import accumulate, chain
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -60,11 +60,11 @@ __all__ = [
     "w2_matrix",
     "pair_sweep",
     "solve_row",
-    "ordered_map",
     "cost_matrix",
     "cost_blocks",
     "check_threads",
     "check_dimensions",
+    "cloud_list",
 ]
 
 # Construction and feasibility tolerances.
@@ -743,6 +743,22 @@ def check_threads(threads: int) -> int:
     return check_integer(threads, "threads", 1)
 
 
+def cloud_list(clouds: Iterable[Cloud]) -> list:
+    """``clouds`` as a list, for every function that takes a collection.
+
+    Raises:
+        InvalidCloud: ``clouds`` cannot be iterated (a number, ``None``, a
+            single ``Cloud`` or a sample object), before any solve.
+    """
+    try:
+        items = iter(clouds)
+    except TypeError:
+        raise InvalidCloud(
+            f"expected a sequence of Cloud, got {type(clouds).__name__}"
+        ) from None
+    return list(items)
+
+
 def check_dimensions(clouds: Sequence[Cloud]) -> None:
     """Raises ``InvalidCloud`` on an item that is not a ``Cloud``, and
     ``DimensionMismatch`` unless all clouds share one dimension."""
@@ -753,17 +769,6 @@ def check_dimensions(clouds: Sequence[Cloud]) -> None:
             raise DimensionMismatch(
                 f"cloud 0 has d={clouds[0].d} but cloud {k} has d={c.d}"
             )
-
-
-def ordered_map(fn: Callable, items: Sequence, threads: int) -> list:
-    """``[fn(x) for x in items]``, computed by up to ``threads`` workers.
-
-    Results keep the order of ``items`` for any thread count.
-    """
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
 
 
 def _row(
@@ -781,8 +786,12 @@ def _row(
     for k, b in enumerate(targets):
         groups.setdefault((_path(a, b), b.m), []).append(k)
     units = [ks[u::threads] for ks in groups.values() for u in range(min(len(ks), threads))]
-    try:
-        solved = ordered_map(run, units, threads)
+    try:  # in the order of ``units`` for any thread count
+        if threads > 1 and len(units) > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                solved = list(pool.map(run, units))
+        else:
+            solved = [run(unit) for unit in units]
     except Exception:
         pass  # solved again pair by pair below
     else:
@@ -818,13 +827,14 @@ def solve_row(
 
     Raises:
         InvalidParameter: ``threads`` not an integer >= 1, before any solve.
-        InvalidCloud: an operand is not a ``Cloud``, before any solve.
+        InvalidCloud: an operand is not a ``Cloud``, or ``targets`` cannot
+            be iterated, before any solve.
         DimensionMismatch: a target's dimension is not ``a``'s, before any solve.
         WsdError: the first failing target, named as ``target k``; a
             ``WsdError`` keeps its type, any other exception becomes a
             ``NumericalError``.
     """
-    targets = list(targets)
+    targets = cloud_list(targets)
     threads = check_threads(threads)
     check_dimensions([a] + targets)
     return _row(a, targets, step, threads, "target {}".format)
@@ -842,12 +852,13 @@ def pair_sweep(clouds: Sequence[Cloud], step: Callable, *, threads: int = 1):
 
     Raises:
         InvalidParameter: ``threads`` not an integer >= 1, before any solve.
-        InvalidCloud: an item is not a ``Cloud``, before any solve.
+        InvalidCloud: an item is not a ``Cloud``, or ``clouds`` cannot be
+            iterated, before any solve.
         DimensionMismatch: clouds of different dimensions, before any solve.
         WsdError: the first failing pair of the first failing row, named as
             ``clouds (i, j)`` and typed as in :func:`solve_row`.
     """
-    clouds = list(clouds)
+    clouds = cloud_list(clouds)
     threads = check_threads(threads)
     check_dimensions(clouds)
     for i in range(len(clouds)):
@@ -867,7 +878,7 @@ def w2_matrix(clouds: Sequence[Cloud], *, threads: int = 1) -> np.ndarray:
     Only distances are kept: each plan is dropped once its cost is known.
     The result is identical for any thread count.
     """
-    clouds = list(clouds)
+    clouds = cloud_list(clouds)
     out = np.zeros((len(clouds), len(clouds)))
     for i, j, cost in pair_sweep(clouds, _cost, threads=threads):
         out[i, j] = out[j, i] = math.sqrt(cost)

@@ -75,14 +75,13 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 class CloudSpec:
     """A fully parameterized distribution: ``draw(rng, m)`` samples ``m`` points."""
 
-    tag: str
     draw: Callable[[np.random.Generator, int], np.ndarray]
     param: object = None
 
 
-def _iid(tag: str, d: int, factor, param=None) -> CloudSpec:
+def _iid(d: int, factor, param=None) -> CloudSpec:
     """Points with i.i.d. coordinates; ``factor(rng, size)`` draws them."""
-    return CloudSpec(tag, lambda rng, m: factor(rng, (m, d)), param)
+    return CloudSpec(lambda rng, m: factor(rng, (m, d)), param)
 
 
 def _signed(factor, multiplier: float = 1.0):
@@ -96,7 +95,7 @@ def _signed(factor, multiplier: float = 1.0):
     return draw
 
 
-def _gaussian(tag: str, mean: tuple, chol: Optional[tuple] = None, param=None):
+def _gaussian(mean: tuple, chol: Optional[tuple] = None, param=None):
     """Gaussian with a row-major lower Cholesky factor; None is identity."""
 
     def draw(rng, m):
@@ -105,19 +104,19 @@ def _gaussian(tag: str, mean: tuple, chol: Optional[tuple] = None, param=None):
             z = z @ np.asarray(chol).T
         return np.asarray(mean) + z
 
-    return CloudSpec(tag, draw, param)
+    return CloudSpec(draw, param)
 
 
-def _cube(tag: str, origin: tuple, side: float, param) -> CloudSpec:
+def _cube(origin: tuple, side: float, param) -> CloudSpec:
     def draw(rng, m):
         return np.asarray(origin) + side * rng.random((m, len(origin)))
 
-    return CloudSpec(tag, draw, param)
+    return CloudSpec(draw, param)
 
 
-def _multinomial(tag: str, trials: int, probs: tuple) -> CloudSpec:
+def _multinomial(trials: int, probs: tuple) -> CloudSpec:
     return CloudSpec(
-        tag, lambda rng, m: rng.multinomial(trials, probs, size=m).astype(np.float64)
+        lambda rng, m: rng.multinomial(trials, probs, size=m).astype(np.float64)
     )
 
 
@@ -138,24 +137,22 @@ def _iso_chol(d: int, sd: float) -> tuple:
 
 def _exp_beta_rate(rng, d):
     rate = max(float(rng.beta(2.0, 2.0)), _RATE_FLOOR)
-    return _iid(
-        "exponential", d, lambda rng, size: rng.exponential(1.0 / rate, size), rate
-    )
+    return _iid(d, lambda rng, size: rng.exponential(1.0 / rate, size), rate)
 
 
 def _weibull_shape(rng, d):
     shape = float(rng.integers(1, 3))
-    return _iid("weibull", d, lambda rng, size: rng.weibull(shape, size), shape)
+    return _iid(d, lambda rng, size: rng.weibull(shape, size), shape)
 
 
 def _four_center_gaussian(rng, d):
     idx = int(rng.integers(4))
-    return _gaussian("gaussian_center", analytic.FOUR_CENTERS[idx], param=float(idx))
+    return _gaussian(analytic.FOUR_CENTERS[idx], param=float(idx))
 
 
 def _cube_side(rng, d):
     side = float(rng.uniform(1.0, 2.0))
-    return _cube("cube", (0.0,) * d, side, side)
+    return _cube((0.0,) * d, side, side)
 
 
 def _gaussian_location(rng, d, *, rho: Optional[float] = None, uniform_centers=True):
@@ -165,18 +162,18 @@ def _gaussian_location(rng, d, *, rho: Optional[float] = None, uniform_centers=T
     else:
         center = rng.standard_normal(d)
     chol = ar_cholesky(d, rho) if rho is not None else None
-    return _gaussian("gaussian_location", tuple(center), chol, param=tuple(center))
+    return _gaussian(tuple(center), chol, param=tuple(center))
 
 
 def _cube_location(rng, d):
     """Unit cubes centered at standard normal draws."""
     center = rng.standard_normal(d)
-    return _cube("unit_cube", tuple(center - 0.5), 1.0, tuple(center))
+    return _cube(tuple(center - 0.5), 1.0, tuple(center))
 
 
 def _laplace_location(rng, d):
     loc = float(rng.standard_normal())
-    return _iid("laplace", d, lambda rng, size: rng.laplace(loc, 1.0, size), loc)
+    return _iid(d, lambda rng, size: rng.laplace(loc, 1.0, size), loc)
 
 
 def _uniform_interval(rng, d, *, beta_upper=False):
@@ -185,16 +182,14 @@ def _uniform_interval(rng, d, *, beta_upper=False):
         u = float(rng.beta(2.0, 2.0) + 1.0)
     else:
         u = float(rng.uniform(1.0, 2.0))
-    return _iid("uniform_interval", d, lambda rng, size: rng.uniform(0.0, u, size), u)
+    return _iid(d, lambda rng, size: rng.uniform(0.0, u, size), u)
 
 
 def _gaussian_scale(rng, d):
     """Spherical Gaussians with random centers and random spread."""
     center = rng.standard_normal(d)
     sd = float(rng.uniform(0.8, 1.0))
-    return _gaussian(
-        "gaussian_scale", tuple(center), _iso_chol(d, sd), param=(tuple(center), sd)
-    )
+    return _gaussian(tuple(center), _iso_chol(d, sd), param=(tuple(center), sd))
 
 
 # ---------------------------------------------------------------------------
@@ -213,48 +208,46 @@ def _choice(values: tuple):
 def _outliers_case1(d: int) -> list[CloudSpec]:
     probs = (0.25, 0.25, 0.15, 0.15, 0.15, 0.01, 0.01, 0.01, 0.01, 0.01)
     return [
-        _gaussian("out_gauss_far", (5.0,) * d),
-        _gaussian("out_gauss_far_ar", (5.0,) * d, ar_cholesky(d, 0.5)),
-        _iid("out_gamma", d, lambda rng, size: rng.gamma(3.0, 1.0 / 2.0, size)),
-        _iid("out_wide_uniform", d, lambda rng, size: rng.uniform(-6.0, 6.0, size)),
-        _iid("out_beta_bimodal", d, lambda rng, size: rng.beta(0.1, 0.1, size)),
-        _multinomial("out_multinomial", 2 * d, probs),
+        _gaussian((5.0,) * d),  # out_gauss_far
+        _gaussian((5.0,) * d, ar_cholesky(d, 0.5)),  # out_gauss_far_ar
+        _iid(d, lambda rng, size: rng.gamma(3.0, 1.0 / 2.0, size)),  # out_gamma
+        _iid(d, lambda rng, size: rng.uniform(-6.0, 6.0, size)),  # out_wide_uniform
+        _iid(d, lambda rng, size: rng.beta(0.1, 0.1, size)),  # out_beta_bimodal
+        _multinomial(2 * d, probs),  # out_multinomial
     ]
 
 
 def _outliers_case2(d: int) -> list[CloudSpec]:
     probs = (0.25, 0.15, 0.1, 0.1, 0.15, 0.05, 0.05, 0.05, 0.05, 0.05)
     return [
-        _gaussian("out_gauss_far", (3.0,) * d),
-        _gaussian("out_gauss_neg_ar", (-1.0,) * d, ar_cholesky(d, 0.5)),
-        _iid("out_poisson", d, _counts(lambda rng, size: rng.poisson(3.0, size))),
-        _iid("out_binomial", d, _counts(lambda rng, size: rng.binomial(d, 0.2, size))),
-        _iid("out_chisquare", d, lambda rng, size: rng.chisquare(10.0, size)),
-        _multinomial("out_multinomial", 2 * d, probs),
+        _gaussian((3.0,) * d),  # out_gauss_far
+        _gaussian((-1.0,) * d, ar_cholesky(d, 0.5)),  # out_gauss_neg_ar
+        _iid(d, _counts(lambda rng, size: rng.poisson(3.0, size))),  # out_poisson
+        _iid(d, _counts(lambda rng, size: rng.binomial(d, 0.2, size))),  # out_binomial
+        _iid(d, lambda rng, size: rng.chisquare(10.0, size)),  # out_chisquare
+        _multinomial(2 * d, probs),  # out_multinomial
     ]
 
 
 def _exotics_case1(d: int) -> list[CloudSpec]:
     return [
-        _iid("exo_gamma", d, lambda rng, size: rng.gamma(3.0, 1.0 / 2.0, size)),
-        _iid(
-            "exo_signed_weibull", d,
-            _signed(lambda rng, size: rng.weibull(2.0, size), 3.0),
+        _iid(d, lambda rng, size: rng.gamma(3.0, 1.0 / 2.0, size)),  # exo_gamma
+        _iid(  # exo_signed_weibull
+            d, _signed(lambda rng, size: rng.weibull(2.0, size), 3.0)
         ),
-        _iid("exo_choice", d, _choice((-3.5, -2.5, 2.5, 3.5))),
-        _gaussian("exo_gauss_ar", (-3.0, 3.0, -3.0), ar_cholesky(d, 0.5)),
+        _iid(d, _choice((-3.5, -2.5, 2.5, 3.5))),  # exo_choice
+        _gaussian((-3.0, 3.0, -3.0), ar_cholesky(d, 0.5)),  # exo_gauss_ar
     ]
 
 
 def _exotics_case2(d: int) -> list[CloudSpec]:
     return [
-        _iid("exo_poisson", d, _counts(lambda rng, size: rng.poisson(1.0, size))),
-        _iid(
-            "exo_signed_exponential", d,
-            _signed(lambda rng, size: rng.exponential(1.0 / 2.0, size)),
+        _iid(d, _counts(lambda rng, size: rng.poisson(1.0, size))),  # exo_poisson
+        _iid(  # exo_signed_exponential
+            d, _signed(lambda rng, size: rng.exponential(1.0 / 2.0, size))
         ),
-        _iid("exo_choice", d, _choice((1.0, 2.0, 3.0))),
-        _multinomial("exo_multinomial", 2 * d, (0.1, 0.2, 0.7)),
+        _iid(d, _choice((1.0, 2.0, 3.0))),  # exo_choice
+        _multinomial(2 * d, (0.1, 0.2, 0.7)),  # exo_multinomial
     ]
 
 
@@ -439,28 +432,14 @@ def _check_experiment(config: ExperimentConfig, experiment: str) -> None:
 
 @dataclass(frozen=True)
 class DataArray:
-    """A two-stage sample: ``n`` clouds of ``m`` points each.
+    """A two-stage sample: its clouds and the generating parameter of each.
 
-    ``params`` holds the generating parameter per cloud, and regenerating
-    with the same seed reproduces identical coordinates bit for bit.
+    Regenerating with the same configuration reproduces identical
+    coordinates bit for bit.  The depth functions take ``clouds``.
     """
 
     clouds: tuple
-    tags: tuple
     params: tuple
-    seed: int
-
-    def __post_init__(self) -> None:
-        if not self.clouds:
-            raise InvalidParameter("a data array needs at least one cloud")
-        m0, d0 = self.clouds[0].m, self.clouds[0].d
-        for c in self.clouds:
-            if c.m != m0 or c.d != d0:
-                raise InvalidParameter("all clouds must share m and d")
-
-    @property
-    def n(self) -> int:
-        return len(self.clouds)
 
 
 def sample_two_stage(config: ExperimentConfig, rep: int = 0) -> DataArray:
@@ -473,17 +452,13 @@ def sample_two_stage(config: ExperimentConfig, rep: int = 0) -> DataArray:
     population = _CASES[config.experiment, config.case].population
     d = config.resolved_d
     clouds = []
-    tags = []
     params = []
     for i in range(config.n):
         rng = substream(config.seed, rep, _NS_POPULATION, i)
         spec = population(rng, d)
         clouds.append(Cloud(spec.draw(rng, config.m)))
-        tags.append(spec.tag)
         params.append(spec.param)
-    return DataArray(
-        clouds=tuple(clouds), tags=tuple(tags), params=tuple(params), seed=config.seed
-    )
+    return DataArray(clouds=tuple(clouds), params=tuple(params))
 
 
 def _sample_planted(
@@ -558,7 +533,6 @@ class ConsistencyRow(NamedTuple):
 @dataclass(frozen=True)
 class ConsistencyResult:
     rows: tuple
-    config: ExperimentConfig
 
 
 def run_consistency(
@@ -576,8 +550,8 @@ def run_consistency(
 
     Raises:
         InvalidParameter: ``config`` belongs to another experiment, or (from
-            ``wsd_query_family``, before any plan is solved) the queries are
-            not images of the first.
+            ``wsd_query_family``, before any plan is solved) there are no
+            queries or they are not images of the first.
         UnsupportedPairing: a query parameter has no closed-form depth;
             raised before anything is sampled or solved.
     """
@@ -589,10 +563,9 @@ def run_consistency(
     depths: list[list[float]] = [[] for _ in params]  # per query, by repetition
     for rep in range(config.repetitions):
         data = sample_two_stage(config, rep=rep)
-        if family:
-            values = wsd_query_family(family, data.clouds, threads=config.threads)
-            for column, value in zip(depths, values):
-                column.append(value)
+        values = wsd_query_family(family, data.clouds, threads=config.threads)
+        for column, value in zip(depths, values):
+            column.append(value)
     rows = []
     for p, closed_form, column in zip(params, analytic_values, depths):
         obs = np.asarray(column)
@@ -606,7 +579,7 @@ def run_consistency(
                 repetitions=obs.size,
             )
         )
-    return ConsistencyResult(rows=tuple(rows), config=config)
+    return ConsistencyResult(rows=tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +600,6 @@ class LocationEquivalenceResult:
     rows: tuple  # LocationRow per cloud
     max_abs_gaps: tuple
     rank_correlations: tuple
-    config: ExperimentConfig
 
 
 def run_location_equivalence(config: ExperimentConfig) -> LocationEquivalenceResult:
@@ -671,7 +643,6 @@ def run_location_equivalence(config: ExperimentConfig) -> LocationEquivalenceRes
         rows=rows,
         max_abs_gaps=tuple(gaps),
         rank_correlations=tuple(corrs),
-        config=config,
     )
 
 
@@ -694,7 +665,6 @@ class OutlierResult:
     planted_indices: tuple
     recoveries: tuple
     recovery_fraction: float
-    config: ExperimentConfig
 
 
 def run_outlier_experiment(config: ExperimentConfig) -> OutlierResult:
@@ -734,7 +704,6 @@ def run_outlier_experiment(config: ExperimentConfig) -> OutlierResult:
         planted_indices=planted,
         recoveries=tuple(recoveries),
         recovery_fraction=fraction,
-        config=config,
     )
 
 
@@ -755,7 +724,6 @@ class KernelComparisonResult:
     rows: tuple  # KernelRow per cloud, exotic clouds last
     wsd_bottom_fraction: float
     kernel_bottom_fraction: float
-    config: ExperimentConfig
 
 
 def run_kernel_comparison(config: ExperimentConfig) -> KernelComparisonResult:
@@ -793,5 +761,4 @@ def run_kernel_comparison(config: ExperimentConfig) -> KernelComparisonResult:
         rows=rows,
         wsd_bottom_fraction=float(np.mean(wsd_hits)),
         kernel_bottom_fraction=float(np.mean(kernel_hits)),
-        config=config,
     )

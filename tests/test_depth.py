@@ -19,13 +19,15 @@ from wsdepth import (
     kernel_spatial_depth,
     lens_depth,
     metric_spatial_depth,
+    w2_matrix,
     wsd_all,
     wsd_discrete,
     wsd_empirical,
     wsd_query_family,
 )
 from wsdepth.depth import _embedding_gram, _kernel_spatial, make_report
-from wsdepth.ot_core import cost_matrix, solve_row
+from wsdepth.ot_core import cost_matrix, pair_sweep, solve_row
+from wsdepth.sim import DataArray
 
 from conftest import make_cloud, refuse_solves, triple_sum_depth
 
@@ -316,6 +318,30 @@ def test_wsd_discrete_single_split_plan_positive_depth(rng):
     value = wsd_discrete(q, [p])
     assert value == pytest.approx(triple_sum_depth(q, [p]), abs=1e-12)
     assert value > 0.0
+
+
+def _collections(rng):
+    """Collections of 5 clouds on every exact path the depths take: 1-D,
+    ragged sizes (the LP), sizes that divide (replicated assignment) and
+    lattice clouds, whose atoms tie in cost."""
+    return {
+        "1d": [Cloud(rng.normal(size=m)) for m in (3, 5, 4, 6, 5)],
+        "ragged-lp": [make_cloud(rng, m, 2) for m in (3, 4, 5, 7, 5)],
+        "replicated": [make_cloud(rng, m, 2) for m in (3, 6, 3, 12, 6)],
+        "lattice": [Cloud(rng.integers(0, 3, size=(6, 2))) for _ in range(5)],
+    }
+
+
+def test_wsd_discrete_equals_wsd_bitwise_with_two_or_more_members(rng):
+    # the single-member rule is the only difference between the two
+    for name, clouds in _collections(rng).items():
+        wsd = compute_depths(clouds, "wsd").values
+        discrete = compute_depths(clouds, "wsd_discrete").values
+        assert discrete.tolist() == wsd.tolist(), name
+        n = len(clouds)
+        for i, q in enumerate(clouds):
+            pair = [clouds[(i + 1) % n], clouds[(i + 2) % n]]
+            assert wsd_discrete(q, pair) == wsd_empirical(q, pair), (name, i)
 
 
 # ---------------------------------------------------------------------------
@@ -698,3 +724,41 @@ def test_query_family_guard_refuses_an_empty_family(rng, monkeypatch):
     refuse_solves(monkeypatch)
     with pytest.raises(InvalidParameter):
         wsd_query_family([], [make_cloud(rng, 4, 2)])
+
+
+def _not_a_collection(rng):
+    cloud = make_cloud(rng, 4, 2)
+    return {
+        "int": 5,
+        "none": None,
+        "cloud": cloud,
+        "sample": DataArray(clouds=(cloud, cloud, cloud), params=(0, 1, 2)),
+    }
+
+
+_TAKING_A_COLLECTION = {
+    "compute_depths": lambda x, q: compute_depths(x),
+    "wsd_all": lambda x, q: wsd_all(x),
+    "w2_matrix": lambda x, q: w2_matrix(x),
+    "wsd_empirical": lambda x, q: wsd_empirical(q, x),
+    "wsd_discrete": lambda x, q: wsd_discrete(q, x),
+    "wsd_query_family-queries": lambda x, q: wsd_query_family(x, [q, q]),
+    "wsd_query_family-population": lambda x, q: wsd_query_family([q], x),
+    "lens_depth": lambda x, q: lens_depth(q, x),
+    "metric_spatial_depth": lambda x, q: metric_spatial_depth(q, x),
+    "kernel_spatial_depth": lambda x, q: kernel_spatial_depth(q, x, 1.0),
+    "solve_row": lambda x, q: solve_row(q, x, lambda *args: None),
+    "pair_sweep": lambda x, q: list(pair_sweep(x, lambda *args: None)),
+}
+
+
+@pytest.mark.parametrize("kind", ["int", "none", "cloud", "sample"])
+@pytest.mark.parametrize("name", sorted(_TAKING_A_COLLECTION))
+def test_a_collection_that_cannot_be_iterated_is_refused_by_type(
+    name, kind, rng, monkeypatch
+):
+    refuse_solves(monkeypatch)
+    given = _not_a_collection(rng)[kind]
+    expected = f"^expected a sequence of Cloud, got {type(given).__name__}$"
+    with pytest.raises(InvalidCloud, match=expected):
+        _TAKING_A_COLLECTION[name](given, make_cloud(rng, 4, 2))

@@ -1,7 +1,7 @@
 """Module boundaries: every exported name resolves, no module of the
 package reaches into another module's private names, every module-level
-definition is exported or used, and importing the package leaves out what
-only one experiment needs."""
+definition is exported or used, every dataclass field is read, and
+importing the package leaves out what only one experiment needs."""
 import ast
 import importlib
 import os
@@ -13,6 +13,7 @@ import pytest
 
 MODULES = ["wsdepth", "wsdepth.analytic", "wsdepth.depth", "wsdepth.ot_core", "wsdepth.sim"]
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "wsdepth"
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -177,6 +178,72 @@ def test_the_dead_definition_check_sees_a_leftover():
         "b": "from .a import shown\ndef _called(): pass\n_TABLE = {'x': _called}\n",
     }
     assert _dead_definitions(sources) == ["a._recursive", "a.Orphan"]
+
+
+def _unread_fields(sources: dict, readers: list) -> list:
+    """``module.Class.field`` for each field of a ``@dataclass`` in
+    ``sources`` whose name no source in ``readers`` loads as an attribute
+    (``x.field``).
+
+    The check goes by name: a field counts as read wherever any object's
+    attribute of that name is loaded.  So it cannot see a field whose name
+    another object also uses, such as a ``seed``, ``tag`` or
+    ``threshold_quantile`` that some other class reads.
+    """
+    read = {
+        node.attr
+        for source in readers
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef) or not any(
+                _dotted(d.func if isinstance(d, ast.Call) else d)
+                in ("dataclass", "dataclasses.dataclass")
+                for d in node.decorator_list
+            ):
+                continue
+            unread += [
+                f"{module}.{node.name}.{item.target.id}"
+                for item in node.body
+                if isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)
+                and item.target.id not in read
+            ]
+    return unread
+
+
+def test_every_dataclass_field_is_read():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    readers = list(sources.values()) + [
+        path.read_text() for path in sorted(TESTS.glob("*.py"))
+    ]
+    assert len(sources) >= len(MODULES)
+    assert _unread_fields(sources, readers) == []
+
+
+def test_the_unread_field_check_sees_a_leftover():
+    sources = {
+        "a": (
+            "from dataclasses import dataclass\n"
+            "import dataclasses\n"
+            "@dataclass(frozen=True)\n"
+            "class Kept:\n"
+            "    shown: int\n"
+            "    hidden: int = 0\n"
+            "    def total(self): return self.shown\n"
+            "@dataclasses.dataclass\n"
+            "class Result:\n"
+            "    rows: tuple\n"
+            "    config: object\n"
+            "class Plain:\n"
+            "    ignored: int\n"
+        ),
+    }
+    readers = [sources["a"], "result.rows\nresult.config = 1\n"]
+    assert _unread_fields(sources, readers) == ["a.Kept.hidden", "a.Result.config"]
 
 
 def test_importing_the_package_leaves_scipy_stats_to_the_experiment_using_it():

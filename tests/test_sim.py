@@ -270,6 +270,12 @@ def test_run_consistency_keeps_repeated_query_parameters_apart():
     assert run_consistency(cfg, query_params=[1.5, 1.5]).rows == (single, single)
 
 
+def test_run_consistency_refuses_an_empty_query_list_before_solving(monkeypatch):
+    refuse_solves(monkeypatch)
+    with pytest.raises(InvalidParameter, match="at least one query"):
+        run_consistency(config(case=4, n=4, m=9, repetitions=3), query_params=[])
+
+
 def test_run_consistency_is_deterministic():
     cfg = config(case=4, n=8, m=25, repetitions=2)
     r1 = run_consistency(cfg)
@@ -367,7 +373,7 @@ def test_sampling_supports_reference_scale():
     data = sample_two_stage(
         ExperimentConfig(experiment="consistency", case=3, n=2000, m=1000, seed=1)
     )
-    assert data.n == 2000
+    assert len(data.clouds) == 2000
     assert data.clouds[0].points.shape == (1000, 2)
 
 
