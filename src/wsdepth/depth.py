@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Real
 from typing import Optional, Sequence
 
@@ -445,13 +446,23 @@ def wsd_discrete(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=4)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``, read-only: built once per size, so once
+    for all the queries of one matrix."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def _member_pairs(dist: np.ndarray, qi: int, name: str):
     """``(d_i, d_j, d_ij)`` for every pair ``i < j`` of members (every index
     but the query ``qi``), ``d_i`` being the query's distance to ``i``."""
     m = np.delete(np.arange(dist.shape[0]), qi)
     if len(m) < 2:
         raise TooFewDistributions(f"{name} needs >= 2 population members, got {len(m)}")
-    a, b = np.triu_indices(len(m), 1)
+    a, b = _upper_pairs(len(m))
     return dist[qi, m[a]], dist[qi, m[b]], dist[m[a], m[b]]
 
 
@@ -550,7 +561,7 @@ def _kernel_spatial(gram: np.ndarray, qi: int) -> float:
     norms = np.sqrt(np.maximum(gram[idx, idx] - 2.0 * gq + qq, 0.0))
     keep = norms != 0.0
     idx, gq, norms = idx[keep], gq[keep], norms[keep]
-    a, b = np.triu_indices(idx.shape[0], 1)
+    a, b = _upper_pairs(idx.shape[0])
     inner = ((gram[idx[a], idx[b]] - gq[a]) - gq[b]) + qq
     pairs = 2.0 * inner / (norms[a] * norms[b])
     # each kept member adds <g_a, g_a> / ||g_a||^2 = 1; fsum is exact, so the

@@ -8,10 +8,11 @@ solved exactly, never with entropic smoothing:
 * uniform clouds whose sizes divide, either way round: the linear
   assignment problem, each atom of the smaller cloud repeated ``k`` times
   (``k = 1`` at equal sizes), solved by SciPy's Jonker-Volgenant code;
-* general weights: a sparse transportation LP handed to the HiGHS dual
-  simplex through SciPy's bundled binding, with ``linprog``'s options and
-  tightened feasibility tolerances, which returns a basic (vertex)
-  solution with at most ``m_a + m_b - 1`` entries.
+* general weights: a sparse transportation LP handed as arrays to a
+  cleared, pooled HiGHS solver through SciPy's bundled binding, which runs
+  the dual simplex with ``linprog``'s options and tightened feasibility
+  tolerances and returns a basic (vertex) solution with at most
+  ``m_a + m_b - 1`` entries.
 
 All transport costs are totalled with ``math.fsum`` so the reported value
 is the correctly rounded sum of its terms.  That makes ``w2`` independent
@@ -21,6 +22,7 @@ depth layer relies on for deterministic parallel evaluation.
 from __future__ import annotations
 
 import math
+import queue
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,13 +34,16 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
+_NEEDS_SCIPY = (
+    "wsdepth needs SciPy >= 1.15: it solves transport LPs through SciPy's"
+    " HiGHS binding, scipy.optimize._highspy._core, with _Highs.clearSolver"
+    " and the array overload of _Highs.passModel"
+)
+
 try:
     from scipy.optimize._highspy import _core as _highs
 except ImportError as exc:  # SciPy < 1.15
-    raise ImportError(
-        "wsdepth needs SciPy >= 1.15: it solves transport LPs through"
-        " SciPy's HiGHS binding, scipy.optimize._highspy._core"
-    ) from exc
+    raise ImportError(_NEEDS_SCIPY) from exc
 
 from .errors import (
     DimensionMismatch,
@@ -614,42 +619,73 @@ def _lp_options():
 _LP_OPTIONS = _lp_options()
 
 
+def _hand_over(solver, cost: np.ndarray, supply: np.ndarray, demand: np.ndarray):
+    """``solver``, cleared, with ``_LP_OPTIONS`` and the transportation LP
+    of this ``(ma, mb)`` cost and these marginals passed as arrays.
+
+    Clearing drops the last solve's basis, so the solver starts as a fresh
+    one would; the options are passed on every call, so they are the ones
+    ``_LP_OPTIONS`` holds now.
+
+    Raises:
+        NumericalError: HiGHS refuses the model.
+    """
+    ma, mb = cost.shape
+    n = ma * mb
+    marginals = np.concatenate([supply, demand])
+    solver.clearSolver()
+    solver.passOptions(_LP_OPTIONS)
+    # (num_col, num_row, num_nz, a_format, sense, offset, col_cost,
+    # col_lower, col_upper, row_lower, row_upper, a_start, a_index, a_value,
+    # integrality); HiGHS refuses an empty integrality array
+    status = solver.passModel(
+        n, ma + mb, 2 * n, _highs.MatrixFormat.kColwise,
+        _highs.ObjSense.kMinimize, 0.0, cost.ravel(), np.zeros(n),
+        np.full(n, np.inf), marginals, marginals,
+        *_marginal_constraints(ma, mb), np.zeros(n, dtype=np.int32),
+    )
+    if status == _highs.HighsStatus.kError:  # as linprog: never run a refused model
+        raise NumericalError("transport LP failed: HiGHS refused the model")
+    return solver
+
+
+try:  # a binding that lacks a call _hand_over makes fails here, not mid-run
+    _hand_over(_highs._Highs(), np.zeros((1, 1)), np.ones(1), np.ones(1))
+except (AttributeError, TypeError) as exc:
+    raise ImportError(_NEEDS_SCIPY) from exc
+
+
+# Solvers that finished an optimal solve and wait for the next LP.  A solve
+# takes one or makes one, so no more exist than LPs run at once.
+_IDLE_SOLVERS: queue.SimpleQueue = queue.SimpleQueue()
+
+
 def _transport_vertex(
     cost: np.ndarray, supply: np.ndarray, demand: np.ndarray
 ) -> np.ndarray:
     """The row-major plan ``x`` of the transportation LP with this
     ``(ma, mb)`` cost and these marginals, solved as
     ``linprog(method="highs")`` solves it: the same model, handed to the
-    same binding with the same options, so HiGHS returns the same vertex
-    bit for bit.
+    same binding with the same options, on a cleared solver, so HiGHS
+    returns the same vertex bit for bit.
 
     Raises:
-        NumericalError: HiGHS ends with any model status but optimal.
+        NumericalError: HiGHS refuses the model, or ends with any model
+            status but optimal.
     """
-    ma, mb = cost.shape
-    n = ma * mb
-    lp = _highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = ma + mb
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = (
-        _marginal_constraints(ma, mb)
-    )
-    lp.col_cost_ = cost.ravel()
-    lp.col_lower_ = np.zeros(n)
-    lp.col_upper_ = np.full(n, np.inf)
-    lp.row_lower_ = lp.row_upper_ = np.concatenate([supply, demand])
-    # A fresh solver per LP: a reused one warm-starts from its last basis.
-    solver = _highs._Highs()
-    solver.passOptions(_LP_OPTIONS)
-    solver.passModel(lp)
-    solver.run()
+    try:
+        solver = _IDLE_SOLVERS.get_nowait()
+    except queue.Empty:
+        solver = _highs._Highs()
+    _hand_over(solver, cost, supply, demand).run()
     status = solver.getModelStatus()
-    if status != _highs.HighsModelStatus.kOptimal:
+    if status != _highs.HighsModelStatus.kOptimal:  # the solver is dropped
         raise NumericalError(
             f"transport LP failed: {solver.modelStatusToString(status)}"
         )
-    return np.array(solver.getSolution().col_value)
+    x = np.array(solver.getSolution().col_value)
+    _IDLE_SOLVERS.put(solver)
+    return x
 
 
 @_per_target

@@ -549,15 +549,18 @@ def run_consistency(
     of the first query only.
 
     Raises:
-        InvalidParameter: ``config`` belongs to another experiment, or (from
-            ``wsd_query_family``, before any plan is solved) there are no
-            queries or they are not images of the first.
+        InvalidParameter: ``config`` belongs to another experiment, or there
+            are no queries (both before anything is sampled), or (from
+            ``wsd_query_family``, before any plan is solved) the queries
+            are not images of the first.
         UnsupportedPairing: a query parameter has no closed-form depth;
             raised before anything is sampled or solved.
     """
     _check_experiment(config, "consistency")
     entry = _consistency_case(config.case)
     params = tuple(query_params) if query_params is not None else entry.queries
+    if not params:
+        raise InvalidParameter("a query family needs at least one query")
     analytic_values = [entry.depth(p) for p in params]
     family = [entry.query(p, config.m) for p in params]
     depths: list[list[float]] = [[] for _ in params]  # per query, by repetition

@@ -1,5 +1,6 @@
 """Exact transport solver: examples, oracles, and invariants."""
 import math
+import queue
 import subprocess
 import sys
 
@@ -656,6 +657,109 @@ def test_a_failed_lp_raises_and_names_its_pair(threads, rng, monkeypatch):
     # pairs (0, 1) and (0, 2) take the assignment batch, (0, 3) the LP
     with pytest.raises(NumericalError, match=r"^clouds \(0, 3\): transport LP failed: "):
         w2_matrix(clouds, threads=threads)
+
+
+def _fresh_solver_count(monkeypatch) -> list:
+    """Empty the solver pool and count the HiGHS solvers made from now on:
+    the returned list gains one entry per construction."""
+    made = []
+    real = wsdepth.ot_core._highs._Highs
+
+    def counted():
+        made.append(1)
+        return real()
+
+    monkeypatch.setattr(wsdepth.ot_core, "_IDLE_SOLVERS", queue.SimpleQueue())
+    monkeypatch.setattr(wsdepth.ot_core._highs, "_Highs", counted)
+    return made
+
+
+def test_lps_after_a_failed_solve_still_equal_linprog(rng, monkeypatch):
+    """A solve that HiGHS stops early leaves nothing behind: the pooled
+    solvers of later LPs still return ``linprog``'s vertex to the bit."""
+    clouds = [make_cloud(rng, 5, 2), make_cloud(rng, 7, 2, uniform=False)]
+    w2_matrix(clouds)  # a pooled solver that has run
+    capped = wsdepth.ot_core._lp_options()
+    capped.presolve = "off"
+    capped.simplex_iteration_limit = 0
+    with monkeypatch.context() as patch:
+        patch.setattr(wsdepth.ot_core, "_LP_OPTIONS", capped)
+        for _ in range(3):
+            with pytest.raises(NumericalError, match="^transport LP failed: "):
+                solve_ot(*clouds)
+    lp_rng = np.random.default_rng(20240817)
+    for kind in ("ragged uniform", "weighted equal size", "lattice", "duplicates"):
+        for _ in range(5):
+            supply, demand, cost = _lp_guard_pair(kind, lp_rng)
+            ma, mb = cost.shape
+            got = wsdepth.ot_core._transport_vertex(cost, supply, demand)
+            want = linprog(
+                cost.ravel(),
+                A_eq=stacked_constraints(ma, mb),
+                b_eq=np.concatenate([supply, demand]),
+                bounds=(0, None),
+                method="highs",
+                options={
+                    "primal_feasibility_tolerance": 1e-10,
+                    "dual_feasibility_tolerance": 1e-10,
+                },
+            )
+            assert got.tobytes() == want.x.tobytes()
+
+
+def test_a_refused_lp_model_is_never_run(monkeypatch):
+    """A model HiGHS refuses raises before ``run``; the pooled solver that
+    held the last model is dropped, not handed that model again."""
+    made = _fresh_solver_count(monkeypatch)
+    cost = np.ones((2, 3))
+    x = wsdepth.ot_core._transport_vertex(cost, np.full(2, 0.5), np.full(3, 1 / 3))
+    with pytest.raises(NumericalError, match="^transport LP failed: HiGHS refused"):
+        wsdepth.ot_core._transport_vertex(cost, np.array([np.nan, 0.5]), np.full(3, 1 / 3))
+    again = wsdepth.ot_core._transport_vertex(cost, np.full(2, 0.5), np.full(3, 1 / 3))
+    assert again.tobytes() == x.tobytes()
+    assert len(made) == 2
+
+
+def test_sequential_lps_share_one_solver(monkeypatch):
+    made = _fresh_solver_count(monkeypatch)
+    lp_rng = np.random.default_rng(7)
+    for _ in range(60):
+        supply, demand, cost = _lp_guard_pair("ragged uniform", lp_rng)
+        wsdepth.ot_core._transport_vertex(cost, supply, demand)
+    assert len(made) == 1
+
+
+def test_a_ragged_w2_matrix_is_identical_at_any_thread_count(rng, monkeypatch):
+    """No more LP solvers are made than threads run."""
+    # no size divides another, so every pair takes the LP
+    clouds = [make_cloud(rng, m, 3, uniform=m % 3 > 0) for m in range(9, 18)]
+    want = w2_matrix(clouds).tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the threads trade the pool often
+    try:
+        for threads in (1, 2, 3):
+            made = _fresh_solver_count(monkeypatch)
+            assert w2_matrix(clouds, threads=threads).tobytes() == want
+            assert 1 <= len(made) <= threads
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("missing", ["clearSolver", "the array overload of passModel"])
+def test_a_highs_binding_without_a_needed_call_is_refused_at_import(missing):
+    # a stand-in binding that lacks exactly the one call
+    code = (
+        "import scipy.optimize._highspy._core as core\n"
+        "class Old:\n"
+        "    def passOptions(self, options): pass\n"
+        + ("    def passModel(self, *model): pass\n" if missing == "clearSolver" else
+           "    def passModel(self, lp): pass\n    def clearSolver(self): pass\n")
+        + "core._Highs = Old\n"
+        "import wsdepth\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 1
+    assert "ImportError: wsdepth needs SciPy >= 1.15" in run.stderr
 
 
 def test_a_scipy_without_the_highs_binding_is_refused_at_import():

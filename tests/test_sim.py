@@ -272,6 +272,7 @@ def test_run_consistency_keeps_repeated_query_parameters_apart():
 
 def test_run_consistency_refuses_an_empty_query_list_before_solving(monkeypatch):
     refuse_solves(monkeypatch)
+    monkeypatch.setattr(wsdepth.sim, "sample_two_stage", _refuse)
     with pytest.raises(InvalidParameter, match="at least one query"):
         run_consistency(config(case=4, n=4, m=9, repetitions=3), query_params=[])
 
