@@ -16,6 +16,11 @@ accumulator per cloud.
 Determinism contract: population terms are accumulated in ascending index
 order with Neumaier compensation, and scalar reductions use ``math.fsum``,
 so results do not depend on how many threads solved the transport plans.
+A query family (``wsd_empirical`` and ``wsd_discrete`` take families of
+one) is accumulated as one stacked array, elementwise, so each query gets
+the bits of its own accumulator; a member at distance zero adds an exact
+zero field there and none in a leave-one-out report, which can differ
+only in the sign of a zero partial sum.
 """
 from __future__ import annotations
 
@@ -44,7 +49,7 @@ from .ot_core import (
     cloud_list,
     cost_blocks,
     pair_sweep,
-    plan_cost,
+    plan_costs,
     solve_row,
     w2_matrix,
 )
@@ -161,14 +166,8 @@ class _NeumaierSum:
         return self._sum + self._comp
 
 
-def _radicand(q: Cloud, acc: _NeumaierSum, n_div: int) -> float:
-    """Weighted squared norm of the mean normalized displacement field.
-
-    ``acc`` holds the fields of the nonzero-distance members, added in
-    ascending population order; zero-distance members still count in
-    ``n_div``.
-    """
-    mean = acc.total() / n_div
+def _radicand(q: Cloud, mean: np.ndarray) -> float:
+    """Weighted squared norm of the mean normalized displacement field."""
     sq = np.zeros(q.m)
     for k in range(q.d):
         sq += mean[:, k] * mean[:, k]
@@ -183,25 +182,21 @@ def _radicand(q: Cloud, acc: _NeumaierSum, n_div: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _unit_field(
-    points: np.ndarray, cost: float, images: np.ndarray
-) -> Optional[np.ndarray]:
-    """Displacement ``points - images`` over the transport distance, or
-    ``None`` at distance zero, where the field counts as zero."""
-    dist = math.sqrt(cost)
-    return None if dist == 0.0 else (points - images) / dist
-
-
-def _wsd(q: Cloud, acc: _NeumaierSum, count: int, single_member_rule: bool) -> float:
-    """Spatial depth of ``q`` from the unit fields of ``count`` members.
+def _wsd(
+    q: Cloud, total: np.ndarray, live: int, count: int, single_member_rule: bool
+) -> float:
+    """Spatial depth of ``q`` from ``total``, the compensated sum of the unit
+    fields of ``count`` members in ascending population order, ``live`` of
+    them at nonzero distance; a member at distance zero adds no field or an
+    exact zero one, and still counts.
 
     Under the single-member rule a lone member gives exactly ``0.0`` (or
     ``1.0`` at distance zero), the value of one unit field under a map;
     without it a lone split plan keeps its contracted field.
     """
     if single_member_rule and count == 1:
-        return 0.0 if acc.count else 1.0
-    radicand = _radicand(q, acc, count)
+        return 0.0 if live else 1.0
+    radicand = _radicand(q, total / count)
     return min(1.0, max(0.0, 1.0 - math.sqrt(radicand)))
 
 
@@ -216,25 +211,39 @@ def _wsd_direct(
     Only ``queries[0]`` is solved against the members; every other query
     must be an image of it that keeps its optimal plans (``_check_family``),
     and takes its fields from those plans, its own costs and the same
-    barycentric images.
+    barycentric images.  The family is one ``(Q, m, d)`` array: per member
+    one cost gather, one field division and one compensated add serve every
+    query, elementwise, so each query's bits are those of its own
+    accumulator.  A query at distance zero from a member gets an exact zero
+    field, which moves at most the sign of a zero partial sum.
     """
     pop = cloud_list(population)
     if not pop:
         raise EmptyPopulation("population is empty")
     check_dimensions([queries[0]] + pop)
+    points = np.stack([q.points for q in queries])
 
-    def fields(plan: Coupling, cost: float, a: Cloud, b: Cloud) -> list:
+    def fields(plan: Coupling, cost: float, a: Cloud, b: Cloud):
         # the images depend on the plan, the member and the shared weights
         images = barycentric_map(plan, a, b)
-        costs = [cost] + [plan_cost(plan, q, b) for q in queries[1:]]
-        return [_unit_field(q.points, c, images) for q, c in zip(queries, costs)]
+        dist = np.sqrt([cost, *plan_costs(plan, points[1:], b)])
+        live = dist != 0.0
+        field = np.divide(
+            points - images, dist[:, None, None],
+            out=np.zeros(points.shape), where=live[:, None, None],
+        )
+        return field, live
 
-    accs = [_NeumaierSum((q.m, q.d)) for q in queries]
-    for row in solve_row(queries[0], pop, fields, threads=threads):
-        for acc, f in zip(accs, row):
-            if f is not None:
-                acc.add(f)
-    return [_wsd(q, acc, len(pop), single_member_rule) for q, acc in zip(queries, accs)]
+    acc = _NeumaierSum(points.shape)
+    live = np.zeros(len(queries), dtype=np.int64)
+    for field, alive in solve_row(queries[0], pop, fields, threads=threads):
+        acc.add(field)
+        live += alive
+    total = acc.total()
+    return [
+        _wsd(q, total[k], live[k], len(pop), single_member_rule)
+        for k, q in enumerate(queries)
+    ]
 
 
 # Largest residual of an image under its fitted map x -> s*x + c, relative
@@ -292,8 +301,12 @@ def _check_family(queries: Sequence[Cloud]) -> None:
 
 
 def _field(plan: Coupling, cost: float, a: Cloud, b: Cloud) -> Optional[np.ndarray]:
-    """Unit field of ``a`` towards ``b``."""
-    return _unit_field(a.points, cost, barycentric_map(plan, a, b))
+    """Unit field of ``a`` towards ``b``: the displacement to the barycentric
+    images over the transport distance, or ``None`` at distance zero, where
+    the field counts as zero."""
+    images = barycentric_map(plan, a, b)
+    dist = math.sqrt(cost)
+    return None if dist == 0.0 else (a.points - images) / dist
 
 
 def _pair_fields(plan: Coupling, cost: float, a: Cloud, b: Cloud):
@@ -315,7 +328,8 @@ def _wsd_loo(clouds: list[Cloud], threads: int, single_member_rule: bool) -> np.
                 accs[k].add(f)
     count = len(clouds) - 1
     return np.array(
-        [_wsd(c, acc, count, single_member_rule) for c, acc in zip(clouds, accs)]
+        [_wsd(c, acc.total(), acc.count, count, single_member_rule)
+         for c, acc in zip(clouds, accs)]
     )
 
 
@@ -366,7 +380,11 @@ def wsd_query_family(
     plan from it optimal under squared cost, and in one dimension so does
     any increasing map.  So only ``queries[0]`` is solved against the
     population; every other query takes the same plans and barycentric
-    images, with its own transport costs.  Each value equals
+    images, with its own transport costs.  The family is one stacked
+    array: per member one gather costs every other query, one division
+    forms every unit field (exactly zero for a query at distance zero
+    from that member) and one compensated add takes them in, elementwise,
+    so no query's bits depend on the others.  Each value equals
     ``wsd_empirical(queries[k], population)`` to the bit whenever that
     call's own solve returns the same plan, and is otherwise the depth
     from an optimal plan all the same.

@@ -387,14 +387,29 @@ def _total_cost(terms: list) -> float:
     return total
 
 
+def plan_costs(plan: Coupling, sources: np.ndarray, b: Cloud) -> list[float]:
+    """Total squared-displacement cost of ``plan`` from each source.
+
+    ``sources`` stacks source points, shape ``(Q, plan.source_size, d)``;
+    entry ``k`` is the cost from ``sources[k]`` to ``b``, correctly
+    rounded.  One gather serves every source, and the terms are computed
+    entry by entry, so each cost equals its own ``plan_cost`` bit for bit.
+
+    Raises:
+        NumericalError: the squared displacements from some source
+            overflow float64.
+    """
+    entry = _squared_displacements(sources[:, plan.rows], b.points[plan.cols])
+    return [_total_cost(terms) for terms in (plan.mass * entry).tolist()]
+
+
 def plan_cost(plan: Coupling, a: Cloud, b: Cloud) -> float:
     """Total squared-displacement cost of ``plan``, correctly rounded.
 
     Raises:
         NumericalError: the squared displacements overflow float64.
     """
-    entry = _squared_displacements(a.points[plan.rows], b.points[plan.cols])
-    return _total_cost((plan.mass * entry).tolist())
+    return plan_costs(plan, a.points[None], b)[0]
 
 
 def _marginal_error(row_err: float, col_err: float, tol: float) -> NumericalError:

@@ -685,6 +685,37 @@ def test_query_family_takes_translated_and_scaled_images(rng):
     assert wsd_query_family(images, pop) == [wsd_empirical(c, pop) for c in images]
 
 
+# (query size, member sizes, dimension, weighted) per solver path
+_FAMILY_PATHS = {
+    "1-D": (6, (6, 5, 7), 1, False),
+    "assignment": (6, (6, 6, 6), 2, False),
+    "replicated": (8, (4, 4, 4), 2, False),
+    "LP": (5, (4, 6, 5), 2, True),
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("population", ["copies", "one-member"])
+@pytest.mark.parametrize("path", sorted(_FAMILY_PATHS))
+def test_query_family_counts_zero_distances_per_query(path, population, threads, rng):
+    m, sizes, d, weighted = _FAMILY_PATHS[path]
+    first = make_cloud(rng, m, d, uniform=not weighted)
+    family = [first] + [
+        Cloud(s * first.points + rng.normal(size=d), first.weights) for s in (2.0, 0.5)
+    ]
+    copy = [Cloud(q.points.copy(), q.weights) for q in family]
+    if population == "one-member":
+        pop = [copy[1]]
+    else:  # copies of queries 1 and 2, none of query 0
+        members = [make_cloud(rng, n, d, uniform=not weighted) for n in sizes]
+        pop = [members[0], copy[1], members[1], copy[2], members[2], copy[1]]
+    want = [wsd_empirical(q, pop).hex() for q in family]
+    got = wsd_query_family(family, pop, threads=threads)
+    assert [v.hex() for v in got] == want
+    if population == "one-member":
+        assert got == [0.0, 1.0, 0.0]
+
+
 def _grid(g):
     u = (np.arange(g) + 0.5) / g
     return np.column_stack([np.repeat(u, g), np.tile(u, g)])

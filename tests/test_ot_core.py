@@ -30,7 +30,7 @@ from wsdepth import (
 )
 import wsdepth.depth
 import wsdepth.ot_core
-from wsdepth.ot_core import cost_blocks, cost_matrix, plan_cost, solve_row
+from wsdepth.ot_core import cost_blocks, cost_matrix, plan_cost, plan_costs, solve_row
 
 from conftest import brute_force_assignment_cost, make_cloud, refuse_solves
 
@@ -229,21 +229,21 @@ def _assert_same_plan(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), field
 
 
-@pytest.mark.parametrize(
-    "sizes, d, uniform, solver",
-    [
-        pytest.param((5, 5), 1, True, "_solve_1d", id="1-D equal"),
-        pytest.param((4, 6), 1, False, "_solve_1d", id="1-D weighted"),
-        pytest.param((1, 5), 2, True, "_solve_point_mass", id="point mass first"),
-        pytest.param((5, 1), 2, True, "_solve_point_mass", id="point mass second"),
-        pytest.param((6, 6), 2, True, "_solve_assignments", id="equal uniform"),
-        pytest.param((8, 4), 2, True, "_solve_assignments", id="replicated"),
-        pytest.param((4, 8), 2, True, "_solve_assignments",
-                     id="replicated the other way"),
-        pytest.param((4, 6), 2, True, "_solve_lp", id="ragged"),
-        pytest.param((5, 5), 2, False, "_solve_lp", id="weighted equal size"),
-    ],
-)
+_SOLVER_PATHS = [
+    pytest.param((5, 5), 1, True, "_solve_1d", id="1-D equal"),
+    pytest.param((4, 6), 1, False, "_solve_1d", id="1-D weighted"),
+    pytest.param((1, 5), 2, True, "_solve_point_mass", id="point mass first"),
+    pytest.param((5, 1), 2, True, "_solve_point_mass", id="point mass second"),
+    pytest.param((6, 6), 2, True, "_solve_assignments", id="equal uniform"),
+    pytest.param((8, 4), 2, True, "_solve_assignments", id="replicated"),
+    pytest.param((4, 8), 2, True, "_solve_assignments",
+                 id="replicated the other way"),
+    pytest.param((4, 6), 2, True, "_solve_lp", id="ragged"),
+    pytest.param((5, 5), 2, False, "_solve_lp", id="weighted equal size"),
+]
+
+
+@pytest.mark.parametrize("sizes, d, uniform, solver", _SOLVER_PATHS)
 def test_one_dispatch_picks_the_solver_for_solve_ot_and_the_row(
     sizes, d, uniform, solver, rng
 ):
@@ -253,6 +253,23 @@ def test_one_dispatch_picks_the_solver_for_solve_ot_and_the_row(
     [(row_plan, row_cost)] = solve_row(a, [b], lambda plan, cost, a, b: (plan, cost))
     _assert_same_plan(row_plan, plan)
     assert row_cost.hex() == plan_cost(plan, a, b).hex()
+
+
+@pytest.mark.parametrize("sizes, d, uniform, solver", _SOLVER_PATHS)
+def test_plan_costs_equal_per_source_plan_costs_bitwise(sizes, d, uniform, solver, rng):
+    a, b = (make_cloud(rng, m, d, uniform) for m in sizes)
+    plan = solve_ot(a, b)
+    sources = np.stack([a.points, 2.0 * a.points + 1.0, rng.normal(size=a.points.shape)])
+    want = [plan_cost(plan, Cloud(p, a.weights), b).hex() for p in sources]
+    assert [c.hex() for c in plan_costs(plan, sources, b)] == want
+    assert plan_costs(plan, sources[:0], b) == []
+    # a source whose squared displacements overflow fails as plan_cost does
+    sources[1] *= 1e160
+    with pytest.raises(NumericalError) as one:
+        plan_cost(plan, Cloud(sources[1], a.weights), b)
+    with pytest.raises(NumericalError) as stacked:
+        plan_costs(plan, sources, b)
+    assert str(stacked.value) == str(one.value) == "squared distances overflow float64"
 
 
 # ---------------------------------------------------------------------------
