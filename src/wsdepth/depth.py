@@ -18,9 +18,9 @@ order with Neumaier compensation, and scalar reductions use ``math.fsum``,
 so results do not depend on how many threads solved the transport plans.
 A query family (``wsd_empirical`` and ``wsd_discrete`` take families of
 one) is accumulated as one stacked array, elementwise, so each query gets
-the bits of its own accumulator; a member at distance zero adds an exact
-zero field there and none in a leave-one-out report, which can differ
-only in the sign of a zero partial sum.
+the bits of its own accumulator.  Every member adds a field, on every
+path: its displacement over the transport distance, or over infinity
+where that distance is zero, so exactly zero there.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Real
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +37,6 @@ from .errors import (
     InvalidCloud,
     InvalidParameter,
     NonpositiveBandwidth,
-    NumericalError,
     TooFewDistributions,
 )
 from .ot_core import (
@@ -69,9 +68,6 @@ __all__ = [
 ]
 
 DEPTH_METHODS = ("wsd", "wsd_discrete", "lens", "metric_spatial", "kernel_spatial")
-
-# Radicands more negative than this indicate a real defect, not round-off.
-_RADICAND_GUARD = -1e-8
 
 
 @dataclass(frozen=True)
@@ -148,33 +144,20 @@ def make_report(
 class _NeumaierSum:
     """Elementwise compensated accumulator over a fixed-shape array."""
 
-    __slots__ = ("_sum", "_comp", "count")
+    __slots__ = ("_sum", "_comp")
 
     def __init__(self, shape) -> None:
         self._sum = np.zeros(shape)
         self._comp = np.zeros(shape)
-        self.count = 0
 
     def add(self, x: np.ndarray) -> None:
         t = self._sum + x
         big = np.abs(self._sum) >= np.abs(x)
         self._comp += np.where(big, (self._sum - t) + x, (x - t) + self._sum)
         self._sum = t
-        self.count += 1
 
     def total(self) -> np.ndarray:
         return self._sum + self._comp
-
-
-def _radicand(q: Cloud, mean: np.ndarray) -> float:
-    """Weighted squared norm of the mean normalized displacement field."""
-    sq = np.zeros(q.m)
-    for k in range(q.d):
-        sq += mean[:, k] * mean[:, k]
-    value = math.fsum((q.weights * sq).tolist())
-    if value < _RADICAND_GUARD:
-        raise NumericalError(f"depth radicand fell to {value:.3e}")
-    return max(value, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -187,17 +170,23 @@ def _wsd(
 ) -> float:
     """Spatial depth of ``q`` from ``total``, the compensated sum of the unit
     fields of ``count`` members in ascending population order, ``live`` of
-    them at nonzero distance; a member at distance zero adds no field or an
-    exact zero one, and still counts.
+    them at nonzero distance; a member at distance zero adds an exact zero
+    field, and still counts.
 
-    Under the single-member rule a lone member gives exactly ``0.0`` (or
-    ``1.0`` at distance zero), the value of one unit field under a map;
-    without it a lone split plan keeps its contracted field.
+    The radicand is the ``q``-weighted squared norm of the mean field, a sum
+    of squares, so it is never negative.  Under the single-member rule a
+    lone member gives exactly ``0.0`` (or ``1.0`` at distance zero), the
+    value of one unit field under a map; without it a lone split plan keeps
+    its contracted field.
     """
     if single_member_rule and count == 1:
         return 0.0 if live else 1.0
-    radicand = _radicand(q, total / count)
-    return min(1.0, max(0.0, 1.0 - math.sqrt(radicand)))
+    mean = total / count
+    sq = np.zeros(q.m)
+    for k in range(q.d):
+        sq += mean[:, k] * mean[:, k]
+    radicand = math.fsum((q.weights * sq).tolist())
+    return max(0.0, 1.0 - math.sqrt(radicand))
 
 
 def _wsd_direct(
@@ -214,8 +203,8 @@ def _wsd_direct(
     barycentric images.  The family is one ``(Q, m, d)`` array: per member
     one cost gather, one field division and one compensated add serve every
     query, elementwise, so each query's bits are those of its own
-    accumulator.  A query at distance zero from a member gets an exact zero
-    field, which moves at most the sign of a zero partial sum.
+    accumulator.  A query at distance zero from a member has its
+    displacement divided by infinity: an exact zero field.
     """
     pop = cloud_list(population)
     if not pop:
@@ -228,10 +217,7 @@ def _wsd_direct(
         images = barycentric_map(plan, a, b)
         dist = np.sqrt([cost, *plan_costs(plan, points[1:], b)])
         live = dist != 0.0
-        field = np.divide(
-            points - images, dist[:, None, None],
-            out=np.zeros(points.shape), where=live[:, None, None],
-        )
+        field = (points - images) / np.where(live, dist, np.inf)[:, None, None]
         return field, live
 
     acc = _NeumaierSum(points.shape)
@@ -300,18 +286,17 @@ def _check_family(queries: Sequence[Cloud]) -> None:
             )
 
 
-def _field(plan: Coupling, cost: float, a: Cloud, b: Cloud) -> Optional[np.ndarray]:
+def _field(plan: Coupling, dist: float, a: Cloud, b: Cloud) -> np.ndarray:
     """Unit field of ``a`` towards ``b``: the displacement to the barycentric
-    images over the transport distance, or ``None`` at distance zero, where
-    the field counts as zero."""
-    images = barycentric_map(plan, a, b)
-    dist = math.sqrt(cost)
-    return None if dist == 0.0 else (a.points - images) / dist
+    images over the transport distance, exactly zero at distance zero."""
+    return (a.points - barycentric_map(plan, a, b)) / (dist or math.inf)
 
 
 def _pair_fields(plan: Coupling, cost: float, a: Cloud, b: Cloud):
-    """Unit fields of a pair, ``a`` towards ``b`` and ``b`` towards ``a``."""
-    return _field(plan, cost, a, b), _field(plan.transpose(), cost, b, a)
+    """Whether the pair is at nonzero distance, and its unit fields, ``a``
+    towards ``b`` and ``b`` towards ``a``."""
+    dist = math.sqrt(cost)
+    return dist != 0.0, _field(plan, dist, a, b), _field(plan.transpose(), dist, b, a)
 
 
 def _wsd_loo(clouds: list[Cloud], threads: int, single_member_rule: bool) -> np.ndarray:
@@ -322,14 +307,15 @@ def _wsd_loo(clouds: list[Cloud], threads: int, single_member_rule: bool) -> np.
     """
     check_dimensions(clouds)
     accs = [_NeumaierSum((c.m, c.d)) for c in clouds]
-    for i, j, fields in pair_sweep(clouds, _pair_fields, threads=threads):
+    live = [0] * len(clouds)
+    for i, j, (alive, *fields) in pair_sweep(clouds, _pair_fields, threads=threads):
         for k, f in zip((i, j), fields):
-            if f is not None:
-                accs[k].add(f)
+            accs[k].add(f)
+            live[k] += alive
     count = len(clouds) - 1
     return np.array(
-        [_wsd(c, acc.total(), acc.count, count, single_member_rule)
-         for c, acc in zip(clouds, accs)]
+        [_wsd(c, acc.total(), n, count, single_member_rule)
+         for c, acc, n in zip(clouds, accs, live)]
     )
 
 
@@ -585,7 +571,7 @@ def _kernel_spatial(gram: np.ndarray, qi: int) -> float:
     # each kept member adds <g_a, g_a> / ||g_a||^2 = 1; fsum is exact, so the
     # count stands in for that many ones
     radicand = max(math.fsum([float(idx.shape[0])] + pairs.tolist()) / (n * n), 0.0)
-    return min(1.0, max(0.0, 1.0 - math.sqrt(radicand)))
+    return max(0.0, 1.0 - math.sqrt(radicand))
 
 
 def kernel_spatial_depth(

@@ -73,7 +73,8 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class CloudSpec:
-    """A fully parameterized distribution: ``draw(rng, m)`` samples ``m`` points."""
+    """A fully parameterized distribution: ``draw(rng, m)`` samples ``m``
+    points, of any real dtype (``Cloud`` casts them to float64)."""
 
     draw: Callable[[np.random.Generator, int], np.ndarray]
     param: object = None
@@ -108,16 +109,12 @@ def _gaussian(mean: tuple, chol: Optional[tuple] = None, param=None):
 
 
 def _cube(origin: tuple, side: float, param) -> CloudSpec:
-    def draw(rng, m):
-        return np.asarray(origin) + side * rng.random((m, len(origin)))
-
-    return CloudSpec(draw, param)
+    corner = np.asarray(origin)
+    return _iid(len(origin), lambda rng, size: corner + side * rng.random(size), param)
 
 
 def _multinomial(trials: int, probs: tuple) -> CloudSpec:
-    return CloudSpec(
-        lambda rng, m: rng.multinomial(trials, probs, size=m).astype(np.float64)
-    )
+    return CloudSpec(lambda rng, m: rng.multinomial(trials, probs, size=m))
 
 
 def ar_cholesky(d: int, rho: float) -> tuple:
@@ -197,10 +194,6 @@ def _gaussian_scale(rng, d):
 # ---------------------------------------------------------------------------
 
 
-def _counts(factor):
-    return lambda rng, size: factor(rng, size).astype(np.float64)
-
-
 def _choice(values: tuple):
     return lambda rng, size: rng.choice(np.asarray(values, dtype=np.float64), size=size)
 
@@ -222,8 +215,8 @@ def _outliers_case2(d: int) -> list[CloudSpec]:
     return [
         _gaussian((3.0,) * d),  # out_gauss_far
         _gaussian((-1.0,) * d, ar_cholesky(d, 0.5)),  # out_gauss_neg_ar
-        _iid(d, _counts(lambda rng, size: rng.poisson(3.0, size))),  # out_poisson
-        _iid(d, _counts(lambda rng, size: rng.binomial(d, 0.2, size))),  # out_binomial
+        _iid(d, lambda rng, size: rng.poisson(3.0, size)),  # out_poisson
+        _iid(d, lambda rng, size: rng.binomial(d, 0.2, size)),  # out_binomial
         _iid(d, lambda rng, size: rng.chisquare(10.0, size)),  # out_chisquare
         _multinomial(2 * d, probs),  # out_multinomial
     ]
@@ -242,7 +235,7 @@ def _exotics_case1(d: int) -> list[CloudSpec]:
 
 def _exotics_case2(d: int) -> list[CloudSpec]:
     return [
-        _iid(d, _counts(lambda rng, size: rng.poisson(1.0, size))),  # exo_poisson
+        _iid(d, lambda rng, size: rng.poisson(1.0, size)),  # exo_poisson
         _iid(  # exo_signed_exponential
             d, _signed(lambda rng, size: rng.exponential(1.0 / 2.0, size))
         ),

@@ -9,10 +9,11 @@ full float64 bits (``float.hex``) of ``w2_matrix``, ``wsd_all``,
 against the rest on seeded clouds that reach every solver the pair
 dispatch can pick: 1-D, point mass, reduced and unreduced assignment,
 replicated assignment both ways round (one pair of 400 -> 200 points), the
-ragged and the weighted transport LP, near-duplicate atoms and one d=2 case
-of 300 points.  Every output is computed at threads 1 and 2 and must give
-the same digests, recorded from a known-good build (x86-64 Linux, NumPy 2.4,
-SciPy 1.17).
+ragged and the weighted transport LP, near-duplicate atoms, one d=2 case
+of 300 points, and exact copies of clouds (pairs at transport distance
+zero, on the assignment path and on the LP).  Every output is computed at
+threads 1 and 2 and must give the same digests, recorded from a known-good
+build (x86-64 Linux, NumPy 2.4, SciPy 1.17).
 """
 import hashlib
 from functools import lru_cache
@@ -58,6 +59,17 @@ def _exact_duplicates(rng, m, d):
     return Cloud(np.concatenate([base, base]))
 
 
+def _copies(rng):
+    """Exact copies of clouds 0 and 1 and of a weighted cloud: pairs at
+    transport distance zero on the assignment path and on the LP."""
+    clouds = [_normal(rng, 8, 2) for _ in range(3)]
+    weighted = _normal(rng, 8, 2, weighted=True)
+    return clouds + [Cloud(clouds[0].points), Cloud(clouds[1].points)] + [
+        weighted,
+        Cloud(weighted.points, weighted.weights),
+    ]
+
+
 CASES = {
     "1-D": lambda rng: [_normal(rng, m, 1) for m in (7, 7, 9, 5)]
     + [_normal(rng, 6, 1, weighted=True)],
@@ -75,6 +87,7 @@ CASES = {
     "near-duplicates": lambda rng: [_near_duplicates(rng, 10, 2) for _ in range(3)]
     + [_exact_duplicates(rng, 10, 2)],
     "d2-300": lambda rng: [_normal(rng, 300, 2) for _ in range(3)],
+    "copies": _copies,
 }
 
 # Cases with a pair of clouds of d > 1 that both repeat a coordinate value.
@@ -236,6 +249,18 @@ DIGESTS = {
         "metric_spatial": "695f4619b0b59fcb4faacd78705791d2cb8b79e9692fc91b99eaeeab7b8dfc62",
         "kernel_spatial": "8f4d5ab7debcbbdf45e554fc01f72c879c8995ba80124f8e38892e993371c435",
         "competitor_queries": "dd81ef18ae622d70dc03a274c75a9b1d01539f1ee69321d6c5b5a6fc3d98fa37",
+    },
+    "copies": {
+        "w2_matrix": "b611f0e65325eccc60bc0988843aa8849dfa5be486091880db9ac23130344912",
+        "wsd_all": "4b1f457ad1d6e15be76bc9608d06de3d0b2025d8c411124e60e4a184e12417db",
+        "wsd_discrete": "686a42e926459adf94dab99f15cc5c4873e02c1b371dd6abce9154098dab4da8",
+        "wsd_empirical": "16019704b98d27c114c7da4cc28be808e6efa2164c5b2897cd7daf27adf48cb9",
+        "wsd_empirical_exclude": "686a42e926459adf94dab99f15cc5c4873e02c1b371dd6abce9154098dab4da8",
+        "wsd_query_family": "4bb796b4d32d5044459846021503fad638df9265c5958f2bf79b5e621e9e49ac",
+        "lens": "a8fa148633a163077e21e80508dab14f99696a8f228b5a9eb1ce6c2b9f7cef84",
+        "metric_spatial": "950982133c6281a6c92f688367a49318e609a0e8223cb2410e00e3926cf7699c",
+        "kernel_spatial": "521a6b07f24d565d9fed91ad26de12a45a2827116fbe1258fb1fa3f9c43a9442",
+        "competitor_queries": "4f0b819b1423ff2661195bd86a236fcd3bcdcea8cfb42b14f7fa4049a778f55f",
     },
 }
 

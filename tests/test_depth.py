@@ -101,6 +101,30 @@ def test_wsd_all_matches_individual_calls_bitwise(rng):
     for i in range(6):
         rest = clouds[:i] + clouds[i + 1:]
         assert report.values[i] == wsd_empirical(clouds[i], rest)
+    # exact copies of clouds 0 and 1 put pairs at transport distance zero on
+    # the 1-D, assignment and replicated paths (not the LP, whose single
+    # queries may differ in the last bit: ROADMAP item 5), and two identical
+    # clouds meet the single-member rule at distance zero
+    def with_copies(base):
+        return base + [Cloud(base[0].points), Cloud(base[1].points)]
+
+    pair = make_cloud(rng, 5, 2)
+    collections = {
+        "1-D": with_copies([make_cloud(rng, 6, 1) for _ in range(3)]),
+        "assignment": with_copies([make_cloud(rng, 7, 2) for _ in range(3)]),
+        "replicated": with_copies([make_cloud(rng, m, 2) for m in (3, 6, 3)]),
+        "identical pair": [pair, Cloud(pair.points)],
+    }
+    for name, clouds in collections.items():
+        for method, single in (("wsd", wsd_empirical), ("wsd_discrete", wsd_discrete)):
+            for threads in (1, 2):
+                values = compute_depths(clouds, method, threads=threads).values
+                for i in range(len(clouds)):
+                    rest = clouds[:i] + clouds[i + 1:]
+                    assert values[i] == single(clouds[i], rest), (
+                        f"{name}, {method}, threads={threads}, cloud {i}"
+                    )
+    assert compute_depths(collections["identical pair"]).values.tolist() == [1.0, 1.0]
 
 
 def test_wsd_all_threaded_is_bit_identical(rng):
