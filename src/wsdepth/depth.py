@@ -215,7 +215,8 @@ def _wsd_direct(
     def fields(plan: Coupling, cost: float, a: Cloud, b: Cloud):
         # the images depend on the plan, the member and the shared weights
         images = barycentric_map(plan, a, b)
-        dist = np.sqrt([cost, *plan_costs(plan, points[1:], b)])
+        others = plan_costs(plan, points[1:], b) if len(points) > 1 else ()
+        dist = np.sqrt([cost, *others])
         live = dist != 0.0
         field = (points - images) / np.where(live, dist, np.inf)[:, None, None]
         return field, live

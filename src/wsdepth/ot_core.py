@@ -21,28 +21,61 @@ depth layer relies on for deterministic parallel evaluation.
 """
 from __future__ import annotations
 
+import importlib
 import math
+import os
 import queue
+import sys
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property, wraps
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
+from importlib.util import module_from_spec
 from itertools import accumulate, chain
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
+import scipy
 
 _NEEDS_SCIPY = (
-    "wsdepth needs SciPy >= 1.15: it solves transport LPs through SciPy's"
-    " HiGHS binding, scipy.optimize._highspy._core, with _Highs.clearSolver"
-    " and the array overload of _Highs.passModel"
+    "wsdepth needs SciPy >= 1.15: it calls three of SciPy's compiled modules,"
+    " scipy.optimize._lsap, scipy.spatial._distance_pybind and the HiGHS"
+    " binding scipy.optimize._highspy._core, with _Highs.clearSolver and the"
+    " array overload of _Highs.passModel"
 )
 
+
+def _compiled(name: str):
+    """SciPy's compiled module ``name``, loaded without running the
+    ``__init__`` of the packages above it.
+
+    ``scipy.optimize`` and ``scipy.spatial`` import far more than the one
+    extension each that wsdepth calls.  A module loaded here is put in
+    ``sys.modules``, so a later SciPy import binds the same objects.  A
+    module or parent package already there, or a layout without the
+    extension file in SciPy's folder, takes the normal import (which
+    refuses a ``None`` entry).
+    """
+    package = name.rpartition(".")[0]
+    spec = None
+    if name not in sys.modules and package not in sys.modules:
+        folder = os.path.join(os.path.dirname(scipy.__file__), *package.split(".")[1:])
+        loaders = (ExtensionFileLoader, EXTENSION_SUFFIXES)
+        spec = FileFinder(folder, loaders).find_spec(name)
+    if spec is None:
+        return importlib.import_module(name)
+    module = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
 try:
-    from scipy.optimize._highspy import _core as _highs
-except ImportError as exc:  # SciPy < 1.15
+    linear_sum_assignment = _compiled("scipy.optimize._lsap").linear_sum_assignment
+    _highs = _compiled("scipy.optimize._highspy._core")
+    _cdist_sqeuclidean = _compiled("scipy.spatial._distance_pybind").cdist_sqeuclidean
+except (ImportError, AttributeError) as exc:  # SciPy < 1.15, or another layout
     raise ImportError(_NEEDS_SCIPY) from exc
 
 from .errors import (
@@ -322,12 +355,15 @@ def cost_matrix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of ``x`` and of ``y``.
 
     Entries that overflow float64 come out as ``inf``, without a warning.
+    Takes what ``cdist(x, y, "sqeuclidean")`` takes and raises as it does:
+    ``ValueError`` on input that is not 2-D or whose column counts differ.
     """
     # SciPy's sqeuclidean sums (x_k - y_k)^2 from zero in coordinate order:
     # no cancellation-prone expansion and no BLAS reduction, so the result
     # is run-to-run stable and equals a per-coordinate numpy loop bit for
-    # bit.
-    return cdist(x, y, "sqeuclidean")
+    # bit.  cdist(x, y, "sqeuclidean") calls this kernel, which converts and
+    # checks its input itself.
+    return _cdist_sqeuclidean(x, y)
 
 
 # Largest cost block, in entries (8 bytes, twice while laid out per target).  With

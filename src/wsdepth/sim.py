@@ -14,7 +14,6 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import analytic
 from .depth import (
@@ -283,6 +282,17 @@ def _unit_square_points(m: int) -> np.ndarray:
     return np.column_stack([u1, np.clip(u2, lo, 1.0 - lo)])
 
 
+def _four_center_query(index: float, m: int) -> Cloud:
+    """Standard normal quantiles of ``_unit_square_points(m)``, shifted to
+    ``analytic.FOUR_CENTERS[index]``."""
+    # Imported here, not at module level: scipy.special would add about a
+    # fifth of a second to every process's ``import wsdepth``.
+    from scipy.special import ndtri
+
+    center = np.asarray(analytic.FOUR_CENTERS[int(index)])
+    return Cloud(ndtri(_unit_square_points(m)) + center)
+
+
 def _exponential_quantiles(m: int) -> np.ndarray:
     """Unit-rate exponential quantiles at the levels ``(j + 1/2) / m``."""
     u = (np.arange(m) + 0.5) / m
@@ -327,9 +337,7 @@ _CASES = {
     ),
     ("consistency", 3): _Case(
         _four_center_gaussian, d=2, queries=(0.0, 1.0, 2.0, 3.0),
-        query=lambda index, m: Cloud(
-            ndtri(_unit_square_points(m)) + np.asarray(analytic.FOUR_CENTERS[int(index)])
-        ),
+        query=_four_center_query,
         depth=analytic.four_center_depth,
     ),
     ("consistency", 4): _Case(

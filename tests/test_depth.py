@@ -740,6 +740,30 @@ def test_query_family_counts_zero_distances_per_query(path, population, threads,
         assert got == [0.0, 1.0, 0.0]
 
 
+@pytest.mark.parametrize("path", sorted(_FAMILY_PATHS))
+def test_only_the_other_queries_of_a_family_are_costed(path, rng, monkeypatch):
+    # queries[0]'s cost comes with its plan; a family of one has no other
+    m, sizes, d, weighted = _FAMILY_PATHS[path]
+    first = make_cloud(rng, m, d, uniform=not weighted)
+    pop = [make_cloud(rng, n, d, uniform=not weighted) for n in sizes]
+    family = [first] + [
+        Cloud(s * first.points + 1.0, first.weights) for s in (2.0, 0.5, 3.0)
+    ]
+    calls = []
+    real = wsdepth.depth.plan_costs
+
+    def counted(plan, points, b):
+        calls.append(len(points))
+        return real(plan, points, b)
+
+    monkeypatch.setattr(wsdepth.depth, "plan_costs", counted)
+    wsd_empirical(first, pop)
+    wsd_discrete(first, pop)
+    assert calls == []
+    wsd_query_family(family, pop)
+    assert calls == [3] * len(pop)
+
+
 def _grid(g):
     u = (np.arange(g) + 0.5) / g
     return np.column_stack([np.repeat(u, g), np.tile(u, g)])

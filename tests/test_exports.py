@@ -266,3 +266,65 @@ def test_importing_the_package_leaves_scipy_stats_to_the_experiment_using_it():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == ["[]", "2 True"]
+
+
+_HEAVY = ("scipy.optimize", "scipy.spatial", "scipy.special", "scipy.linalg",
+          "scipy.sparse", "scipy.stats")
+_COMPILED = ("scipy.optimize._lsap", "scipy.optimize._highspy._core",
+             "scipy.spatial._distance_pybind")
+# the objects wsdepth.ot_core holds, against those SciPy's packages hold
+_SAME_OBJECTS = (
+    "import scipy.optimize, scipy.spatial.distance\n"
+    "from wsdepth import ot_core\n"
+    "print(scipy.optimize.linear_sum_assignment is ot_core.linear_sum_assignment,"
+    " sys.modules['scipy.optimize._highspy._core'] is ot_core._highs,"
+    " sys.modules['scipy.optimize._highspy._highs_wrapper']._h is ot_core._highs,"
+    " scipy.spatial.distance._distance_pybind.cdist_sqeuclidean"
+    " is ot_core._cdist_sqeuclidean)\n"
+)
+
+
+def _run(code: str) -> list:
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()
+
+
+def test_importing_the_package_loads_scipy_compiled_modules_alone():
+    # the packages around the three compiled modules wsdepth calls take most
+    # of a second to import; the modules load from their files instead
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import wsdepth, wsdepth.cli\n"
+        f"heavy, compiled = {_HEAVY!r}, {_COMPILED!r}\n"
+        "def loaded(prefix):\n"
+        "    return [m for m in sys.modules if m.split('.')[:2] == prefix.split('.')\n"
+        "            and not m.startswith(compiled)]\n"
+        "print([m for p in heavy for m in loaded(p)], all(map(sys.modules.get, compiled)))\n"
+        "from wsdepth.sim import query_cloud\n"
+        "query_cloud(3, 0.0, 16)\n"
+        "print('scipy.special' in sys.modules)\n"
+        + _SAME_OBJECTS +
+        "from scipy.optimize import linprog\n"
+        "from scipy.spatial.distance import cdist\n"
+        "lp = linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], method='highs')\n"
+        "print(lp.status, lp.x.tolist())\n"
+        "x, y = np.random.default_rng(3).normal(size=(2, 7, 4))\n"
+        "print(cdist(x, y, 'sqeuclidean').tobytes() == ot_core.cost_matrix(x, y).tobytes())\n"
+    )
+    want = ["[] True", "True", "True True True True", "0 [1.0, 0.0]", "True"]
+    assert _run(code) == want
+
+
+def test_importing_scipy_first_binds_the_same_compiled_modules():
+    code = (
+        "import sys\n"
+        "import scipy.optimize, scipy.spatial.distance\n"
+        "import wsdepth, wsdepth.cli\n"
+    ) + _SAME_OBJECTS
+    assert _run(code) == ["True True True True"]

@@ -10,6 +10,7 @@ import scipy.sparse
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment, linprog
+from scipy.spatial.distance import cdist
 
 from wsdepth import (
     Cloud,
@@ -554,6 +555,39 @@ def test_cost_matrix_equals_per_coordinate_loop_bitwise(data, d):
     assert got.tobytes() == want.tobytes()
 
 
+_X = np.random.default_rng(7).normal(size=(6, 8))
+_COST_INPUTS = {
+    "lists": ([[0, 1], [2, 3]], [[1.5, -1.0]]),
+    "integer": ((10 * _X).astype(np.int64), (10 * _X[:4]).astype(np.int32)),
+    "float32": (_X.astype(np.float32), _X[1:].astype(np.float32)),
+    "float32 and float64": (_X.astype(np.float32), _X),
+    "strided views": (_X[::2, ::3], _X[1::2, 1::3]),
+    "fortran": (np.asfortranarray(_X), _X[:3]),
+    "no rows": (np.empty((0, 8)), _X),
+    "no target rows": (_X, np.empty((0, 8))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COST_INPUTS))
+def test_cost_matrix_takes_what_cdist_takes_bitwise(case):
+    x, y = _COST_INPUTS[case]
+    got = cost_matrix(x, y)
+    want = cdist(x, y, "sqeuclidean")
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "x, y", [(_X[0], _X), (_X, _X[0]), (_X[None], _X), (_X, _X[:, :3])],
+    ids=["1-D", "1-D targets", "3-D", "mismatched columns"],
+)
+def test_cost_matrix_refuses_what_cdist_refuses(x, y):
+    with pytest.raises(ValueError):
+        cdist(x, y, "sqeuclidean")
+    with pytest.raises(ValueError):
+        cost_matrix(x, y)
+
+
 @pytest.mark.parametrize("limit", [1, 45, wsdepth.ot_core._BLOCK_ENTRIES])
 def test_cost_blocks_cover_the_targets_in_order_within_the_limit(limit, rng,
                                                                  monkeypatch):
@@ -786,6 +820,26 @@ def test_a_scipy_without_the_highs_binding_is_refused_at_import():
         "sys.modules['scipy.optimize._highspy._core'] = None\n"
         "import wsdepth\n"
     )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 1
+    assert "ImportError: wsdepth needs SciPy >= 1.15" in run.stderr
+
+
+_COMPILED = (
+    "scipy.optimize._lsap",
+    "scipy.optimize._highspy._core",
+    "scipy.spatial._distance_pybind",
+)
+
+
+def test_the_refusal_names_every_compiled_module_it_needs():
+    for name in _COMPILED:
+        assert name in wsdepth.ot_core._NEEDS_SCIPY
+
+
+@pytest.mark.parametrize("name", _COMPILED)
+def test_a_scipy_without_a_compiled_module_is_refused_at_import(name):
+    code = f"import sys\nsys.modules[{name!r}] = None\nimport wsdepth\n"
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert run.returncode == 1
     assert "ImportError: wsdepth needs SciPy >= 1.15" in run.stderr
