@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter, NotSPD, UnsupportedPairing
+from .errors import (
+    DimensionMismatch, EmptyPopulation, InvalidParameter, NotSPD, UnsupportedPairing,
+)
 
 __all__ = [
     "Gaussian",
@@ -177,12 +179,15 @@ def euclid_spatial_depth(x, points) -> float:
     """Euclidean spatial depth: one minus the norm of the mean unit direction.
 
     Points coinciding with ``x`` contribute a zero vector (the ``0/0 = 0``
-    convention).  The result is clamped into ``[0, 1]``.
+    convention).  The result is clamped into ``[0, 1]``.  An empty point set
+    raises ``EmptyPopulation``, before any arithmetic.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts.reshape(-1, 1)
+    if pts.shape[0] == 0:
+        raise EmptyPopulation("no points to take the depth against")
     if pts.shape[1] != x.shape[0]:
         raise DimensionMismatch(
             f"query has d={x.shape[0]} but points have d={pts.shape[1]}"

@@ -16,11 +16,12 @@ accumulator per cloud.
 Determinism contract: population terms are accumulated in ascending index
 order with Neumaier compensation, and scalar reductions use ``math.fsum``,
 so results do not depend on how many threads solved the transport plans.
-A query family (``wsd_empirical`` and ``wsd_discrete`` take families of
-one) is accumulated as one stacked array, elementwise, so each query gets
-the bits of its own accumulator.  Every member adds a field, on every
-path: its displacement over the transport distance, or over infinity
-where that distance is zero, so exactly zero there.
+Every WSD path forms unit fields only in ``_unit_fields`` (a displacement
+over the transport distance, or over infinity where that is zero, so
+exactly zero there) and adds them only in ``_depths``, elementwise into one
+stacked sum per query set: a query family (``wsd_empirical`` and
+``wsd_discrete`` take families of one) or one cloud of the leave-one-out
+sweep.  So each query gets the bits of its own accumulator.
 """
 from __future__ import annotations
 
@@ -151,9 +152,11 @@ class _NeumaierSum:
         self._comp = np.zeros(shape)
 
     def add(self, x: np.ndarray) -> None:
+        # two-sum: the exact rounding error of sum + x, as Neumaier's branch
+        # on the larger magnitude gives it (it is unique: the same bits)
         t = self._sum + x
-        big = np.abs(self._sum) >= np.abs(x)
-        self._comp += np.where(big, (self._sum - t) + x, (x - t) + self._sum)
+        z = t - self._sum
+        self._comp += (self._sum - (t - z)) + (x - z)
         self._sum = t
 
     def total(self) -> np.ndarray:
@@ -189,6 +192,35 @@ def _wsd(
     return max(0.0, 1.0 - math.sqrt(radicand))
 
 
+def _unit_fields(plan: Coupling, a: Cloud, b: Cloud, points: np.ndarray, costs):
+    """Unit fields towards ``b`` of a ``(Q, a.m, d)`` stack of sources sharing
+    ``a``'s weights and ``plan``, and whether each is at nonzero distance:
+    the displacement to ``barycentric_map(plan, a, b)`` over the root of its
+    cost, or over infinity where that is zero.  No other code forms one."""
+    dist = [math.sqrt(cost) for cost in costs]
+    divisor = np.array([d or math.inf for d in dist])[:, None, None]
+    return (points - barycentric_map(plan, a, b)) / divisor, [d != 0.0 for d in dist]
+
+
+def _depths(sets: list, fields, count: int, single_member_rule: bool) -> list[float]:
+    """Depth of every query of every query set against ``count`` members.
+
+    ``fields`` yields ``(s, fields, live)`` per member of set ``s``, in
+    member order, from ``_unit_fields``.  Each set is one ``(Q, m, d)``
+    compensated sum beside its Q counts of live members, reduced by ``_wsd``.
+    """
+    accs = [_NeumaierSum((len(qs), qs[0].m, qs[0].d)) for qs in sets]
+    live = [[0] * len(qs) for qs in sets]
+    for s, field, alive in fields:
+        accs[s].add(field)
+        live[s] = [n + x for n, x in zip(live[s], alive)]
+    return [
+        _wsd(q, total, n, count, single_member_rule)
+        for qs, acc, counts in zip(sets, accs, live)
+        for q, total, n in zip(qs, acc.total(), counts)
+    ]
+
+
 def _wsd_direct(
     queries: Sequence[Cloud],
     population: Sequence[Cloud],
@@ -200,11 +232,8 @@ def _wsd_direct(
     Only ``queries[0]`` is solved against the members; every other query
     must be an image of it that keeps its optimal plans (``_check_family``),
     and takes its fields from those plans, its own costs and the same
-    barycentric images.  The family is one ``(Q, m, d)`` array: per member
-    one cost gather, one field division and one compensated add serve every
-    query, elementwise, so each query's bits are those of its own
-    accumulator.  A query at distance zero from a member has its
-    displacement divided by infinity: an exact zero field.
+    barycentric images.  The family is one query set: per member one cost
+    gather and one ``_unit_fields`` call serve every query.
     """
     pop = cloud_list(population)
     if not pop:
@@ -213,24 +242,32 @@ def _wsd_direct(
     points = np.stack([q.points for q in queries])
 
     def fields(plan: Coupling, cost: float, a: Cloud, b: Cloud):
-        # the images depend on the plan, the member and the shared weights
-        images = barycentric_map(plan, a, b)
         others = plan_costs(plan, points[1:], b) if len(points) > 1 else ()
-        dist = np.sqrt([cost, *others])
-        live = dist != 0.0
-        field = (points - images) / np.where(live, dist, np.inf)[:, None, None]
-        return field, live
+        return (0, *_unit_fields(plan, a, b, points, [cost, *others]))
 
-    acc = _NeumaierSum(points.shape)
-    live = np.zeros(len(queries), dtype=np.int64)
-    for field, alive in solve_row(queries[0], pop, fields, threads=threads):
-        acc.add(field)
-        live += alive
-    total = acc.total()
-    return [
-        _wsd(q, total[k], live[k], len(pop), single_member_rule)
-        for k, q in enumerate(queries)
-    ]
+    row = solve_row(queries[0], pop, fields, threads=threads)
+    return _depths([queries], row, len(pop), single_member_rule)
+
+
+def _pair_fields(plan: Coupling, cost: float, a: Cloud, b: Cloud):
+    """The unit fields of a pair, ``a`` towards ``b`` and ``b`` towards
+    ``a``, each a family of one with its liveness."""
+    return (_unit_fields(plan, a, b, a.points[None], [cost]),
+            _unit_fields(plan.transpose(), b, a, b.points[None], [cost]))
+
+
+def _wsd_loo(clouds: list[Cloud], threads: int, single_member_rule: bool) -> np.ndarray:
+    """Depth of every cloud against the rest, each pair solved once.
+
+    Each cloud is a query set of one.  The sweep is row-major, so each
+    cloud receives its fields in ascending index order, as a direct call
+    would add them.
+    """
+    check_dimensions(clouds)
+    sweep = pair_sweep(clouds, _pair_fields, threads=threads)
+    fields = ((k, *out) for i, j, pair in sweep for k, out in zip((i, j), pair))
+    sets = [[c] for c in clouds]
+    return np.array(_depths(sets, fields, len(clouds) - 1, single_member_rule))
 
 
 # Largest residual of an image under its fitted map x -> s*x + c, relative
@@ -285,39 +322,6 @@ def _check_family(queries: Sequence[Cloud]) -> None:
                 f"query {k} is not an image of query 0 under a map that keeps"
                 " its transport plans"
             )
-
-
-def _field(plan: Coupling, dist: float, a: Cloud, b: Cloud) -> np.ndarray:
-    """Unit field of ``a`` towards ``b``: the displacement to the barycentric
-    images over the transport distance, exactly zero at distance zero."""
-    return (a.points - barycentric_map(plan, a, b)) / (dist or math.inf)
-
-
-def _pair_fields(plan: Coupling, cost: float, a: Cloud, b: Cloud):
-    """Whether the pair is at nonzero distance, and its unit fields, ``a``
-    towards ``b`` and ``b`` towards ``a``."""
-    dist = math.sqrt(cost)
-    return dist != 0.0, _field(plan, dist, a, b), _field(plan.transpose(), dist, b, a)
-
-
-def _wsd_loo(clouds: list[Cloud], threads: int, single_member_rule: bool) -> np.ndarray:
-    """Depth of every cloud against the rest, each pair solved once.
-
-    The sweep is row-major, so each cloud receives its fields in ascending
-    index order, as a direct call would add them.
-    """
-    check_dimensions(clouds)
-    accs = [_NeumaierSum((c.m, c.d)) for c in clouds]
-    live = [0] * len(clouds)
-    for i, j, (alive, *fields) in pair_sweep(clouds, _pair_fields, threads=threads):
-        for k, f in zip((i, j), fields):
-            accs[k].add(f)
-            live[k] += alive
-    count = len(clouds) - 1
-    return np.array(
-        [_wsd(c, acc.total(), n, count, single_member_rule)
-         for c, acc, n in zip(clouds, accs, live)]
-    )
 
 
 def wsd_empirical(

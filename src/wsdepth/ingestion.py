@@ -86,6 +86,7 @@ def _resolve_columns(manifest: IngestManifest, first_row: list) -> tuple[int, li
 def ingest(manifest: IngestManifest) -> list[tuple[str, Cloud]]:
     """Read one cloud per distinct group id, ordered by first appearance.
 
+    The file is UTF-8 in any locale; a leading byte-order mark is skipped.
     Groups may have unequal sizes; every cloud carries uniform weights.
     Errors in a record name the file line on which that record starts.
 
@@ -100,7 +101,7 @@ def ingest(manifest: IngestManifest) -> list[tuple[str, Cloud]]:
     rows = []  # (line on which the record starts, record), blank ones dropped
     line = 1
     try:
-        with open(manifest.path, newline="") as handle:
+        with open(manifest.path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle, delimiter=manifest.delimiter)
             for row in reader:
                 if row and any(cell.strip() for cell in row):

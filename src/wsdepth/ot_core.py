@@ -212,10 +212,6 @@ class Cloud:
         )
 
     @cached_property
-    def has_duplicate_points(self) -> bool:
-        return bool(self.duplicate_groups)
-
-    @cached_property
     def has_repeated_coordinates(self) -> bool:
         """True when some coordinate column holds a value twice.
 
@@ -398,29 +394,26 @@ def _finite(cost: np.ndarray) -> np.ndarray:
     return cost
 
 
-def _squared_displacements(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``|x - y|^2`` over the last axis, after broadcasting, summed in
-    coordinate order from zero as in ``cost_matrix``; overflow comes out as
-    ``inf``."""
+def _cost_sums(mass: np.ndarray, x: np.ndarray, y: np.ndarray) -> list[float]:
+    """``sum_e mass[e] * |x[e] - y[e]|^2`` per pair, correctly rounded: the
+    one place cost terms are summed.  After broadcasting, ``x`` and ``y``
+    are ``(pairs, entries, d)`` and ``mass`` is ``(pairs, entries)``; each
+    squared displacement is summed in coordinate order from zero, as in
+    ``cost_matrix``, and each pair's terms by ``math.fsum``.
+
+    Raises:
+        NumericalError: the cost of some pair overflows float64.
+    """
     with np.errstate(over="ignore"):
         diff = x - y
         sq = diff * diff
-    out = sq[..., 0].copy()
+    entry = sq[..., 0].copy()
     for k in range(1, sq.shape[-1]):
-        out += sq[..., k]
-    return out
-
-
-def _total_cost(terms: list) -> float:
-    """The correctly rounded sum of a plan's cost terms.
-
-    Raises:
-        NumericalError: the sum overflows float64.
-    """
-    total = math.fsum(terms)
-    if not math.isfinite(total):
+        entry += sq[..., k]
+    costs = [math.fsum(terms) for terms in (mass * entry).tolist()]
+    if not all(map(math.isfinite, costs)):
         raise NumericalError(_OVERFLOW)
-    return total
+    return costs
 
 
 def plan_costs(plan: Coupling, sources: np.ndarray, b: Cloud) -> list[float]:
@@ -435,8 +428,7 @@ def plan_costs(plan: Coupling, sources: np.ndarray, b: Cloud) -> list[float]:
         NumericalError: the squared displacements from some source
             overflow float64.
     """
-    entry = _squared_displacements(sources[:, plan.rows], b.points[plan.cols])
-    return [_total_cost(terms) for terms in (plan.mass * entry).tolist()]
+    return _cost_sums(plan.mass, sources[:, plan.rows], b.points[plan.cols])
 
 
 def plan_cost(plan: Coupling, a: Cloud, b: Cloud) -> float:
@@ -605,7 +597,7 @@ def _solve_assignments(
             cost = np.repeat(cost if m > n else cost.swapaxes(1, 2), k, axis=2)
         for t, b in enumerate(targets[lo:hi], lo):
             _, cols = linear_sum_assignment(cost[t - lo])
-            if k == 1 and (a.has_duplicate_points or b.has_duplicate_points):
+            if k == 1 and (a.duplicate_groups or b.duplicate_groups):
                 cols = _canonicalize_duplicate_ties(a, b, cols)
             hits[t] = cols
     hits //= k
@@ -628,9 +620,7 @@ def _solve_assignments(
     if max(err) > MARGINAL_TOL:
         raise _marginal_error(*err, MARGINAL_TOL)
 
-    # plan_cost's terms for every entry of the batch, one sum per pair
-    entry = _squared_displacements(x, y)
-    costs = [_total_cost(terms) for terms in (mass * entry).tolist()]
+    costs = _cost_sums(mass, x, y)  # plan_cost's terms, one sum per pair
     cols = _freeze(cols)
     return [
         (Coupling(rows[t], cols[t], (a if m >= n else b).weights, m, n,

@@ -7,6 +7,7 @@ import pytest
 from wsdepth import (
     Cloud,
     DimensionMismatch,
+    EmptyPopulation,
     FOUR_CENTERS,
     Gaussian,
     InvalidParameter,
@@ -194,6 +195,13 @@ def test_spatial_depth_accepts_1d_and_validates_dims(rng):
     assert euclid_spatial_depth(0.0, np.array([1.0, -1.0])) == pytest.approx(1.0)
     with pytest.raises(DimensionMismatch):
         euclid_spatial_depth(np.zeros(2), rng.normal(size=(4, 3)))
+
+
+@pytest.mark.parametrize("points", [np.zeros((0, 2)), np.zeros((0, 3)), []])
+def test_spatial_depth_refuses_an_empty_point_set(points):
+    # before any arithmetic: no 0/0 warning, and no value
+    with pytest.raises(EmptyPopulation):
+        euclid_spatial_depth([0.0, 0.0], points)
 
 
 def test_spatial_depth_range_on_random_instances(rng):

@@ -189,6 +189,40 @@ def test_ingest_input_that_cannot_be_opened_is_a_parse_error(make, tmp_path):
         ingest(IngestManifest(path=path, group_col="group"))
 
 
+@pytest.mark.parametrize(
+    "text, header, group_col",
+    [
+        ("group,x0,x1\na,1,2\na,3,4\né,5,6\n", True, "group"),
+        ("1,2,a\n3,4,a\n5,6,é\n", False, "2"),
+    ],
+    ids=["header", "no-header"],
+)
+def test_ingest_reads_utf8_after_a_byte_order_mark(text, header, group_col, tmp_path):
+    # the mark is not part of the first field, be it a column name or a number
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    named = ingest(IngestManifest(str(path), group_col=group_col, has_header=header))
+    assert [gid for gid, _ in named] == ["a", "é"]
+    assert named[0][1].points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+def test_ingest_refuses_input_that_is_not_utf8(tmp_path):
+    path = tmp_path / "utf16.csv"
+    path.write_bytes("group,x0\na,1\n".encode("utf-16"))
+    with pytest.raises(ParseError, match="not readable as text"):
+        ingest(IngestManifest(str(path), group_col="group"))
+
+
+def test_cmd_depth_reads_a_byte_order_mark_without_a_header(tmp_path, capsys):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf1,a\n2,a\n3,b\n4,b\n8,c\n9,c\n")
+    out = tmp_path / "report.jsonl"
+    code = main(["depth", "--input", str(path), "--no-header", "--group-col", "1",
+                 "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert [r["id"] for r in read_records(str(out))] == ["a", "b", "c"]
+
+
 def test_ingest_unequal_group_sizes(tmp_path):
     path = write(tmp_path / "uneven.csv", "group,x0\na,1\na,2\na,3\nb,9\n")
     named = ingest(IngestManifest(path=path, group_col="group"))

@@ -25,7 +25,7 @@ from wsdepth import (
     wsd_empirical,
     wsd_query_family,
 )
-from wsdepth.depth import _embedding_gram, _kernel_spatial, make_report
+from wsdepth.depth import _NeumaierSum, _embedding_gram, _kernel_spatial, make_report
 from wsdepth.ot_core import cost_matrix, pair_sweep, solve_row
 from wsdepth.sim import DataArray
 
@@ -51,6 +51,44 @@ def test_single_distinct_member_depth_is_exactly_zero(rng):
     p = make_cloud(rng, 6, 2)
     assert wsd_empirical(q, [p]) == 0.0
     assert wsd_empirical(q, [q]) == 1.0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_single_member_rule_reads_liveness_not_the_field(threads):
+    # at distance 1 from the pair {(-1, 0), (1, 0)} the point mass's
+    # barycentric field is exactly zero: only the live count tells the
+    # single-member rule that the member is not at distance zero
+    pm = point_mass(0.0, 0.0)
+    two = Cloud([[-1.0, 0.0], [1.0, 0.0]])
+    assert wsd_empirical(pm, [two], threads=threads) == 0.0
+    assert wsd_discrete(pm, [two], threads=threads) == 1.0
+    family = [pm, Cloud(pm.points + 1.0)]
+    assert wsd_query_family(family, [two], threads=threads) == [0.0, 0.0]
+    for method, want in (("wsd", [0.0, 0.0]), ("wsd_discrete", [1.0, 0.0])):
+        got = compute_depths([pm, two], method, threads=threads).values
+        assert got.tolist() == want
+
+
+def test_compensated_add_matches_neumaiers_branch_bitwise(rng):
+    # the two-sum takes the exact rounding error of each add, as the
+    # branch on the larger magnitude does: signed zeros, subnormals, a
+    # range of 1e-300 to 1e300 and near-total cancellation included
+    shape = (3, 40, 2)
+    acc, total, comp = _NeumaierSum(shape), np.zeros(shape), np.zeros(shape)
+    for _ in range(80):
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        x[rng.random(size=shape) < 0.2] = -0.0
+        x[rng.random(size=shape) < 0.1] = 5e-324 * rng.integers(-3, 4)
+        if rng.random() < 0.3:
+            x = x * 1e-17 - total
+        t = total + x
+        big = np.abs(total) >= np.abs(x)
+        comp += np.where(big, (total - t) + x, (x - t) + total)
+        total = t
+        acc.add(x)
+    got, want = acc.total(), total + comp
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_two_distinct_clouds_have_zero_depth(rng):

@@ -884,10 +884,10 @@ def test_duplicate_groups_are_cached_ascending_and_read_only():
                         [1.0, 0.0]]))
     groups = c.duplicate_groups
     assert [g.tolist() for g in groups] == [[1, 4], [0, 2, 5]]
-    assert c.duplicate_groups is groups and c.has_duplicate_points
+    assert c.duplicate_groups is groups
     assert not any(g.flags.writeable for g in groups)
     plain = Cloud(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert plain.duplicate_groups == () and not plain.has_duplicate_points
+    assert plain.duplicate_groups == ()
 
 
 def test_repeated_coordinates_are_cached_and_flag_lattice_clouds():
