@@ -180,7 +180,11 @@ def euclid_spatial_depth(x, points) -> float:
 
     Points coinciding with ``x`` contribute a zero vector (the ``0/0 = 0``
     convention).  The result is clamped into ``[0, 1]``.  An empty point set
-    raises ``EmptyPopulation``, before any arithmetic.
+    raises ``EmptyPopulation``, before any arithmetic, and a query or point
+    with a NaN or infinite coordinate raises ``InvalidParameter``.  A unit
+    vector whose squared norm would overflow or fall below the normal range
+    is taken from the difference divided by its largest coordinate, so huge
+    and tiny scales keep their directions.
     """
     x = np.asarray(x, dtype=np.float64).reshape(-1)
     pts = np.asarray(points, dtype=np.float64)
@@ -192,10 +196,18 @@ def euclid_spatial_depth(x, points) -> float:
         raise DimensionMismatch(
             f"query has d={x.shape[0]} but points have d={pts.shape[1]}"
         )
-    diffs = pts - x
-    norms = np.sqrt((diffs * diffs).sum(axis=1))
+    if not (np.isfinite(x).all() and np.isfinite(pts).all()):
+        raise InvalidParameter("the query and the points must have finite coordinates")
+    with np.errstate(over="ignore"):
+        diffs = pts - x
+        far = ~np.isfinite(diffs).all(axis=1)
+        diffs[far] = pts[far] * 0.5 - x * 0.5  # halved: the same direction
+        squares = (diffs * diffs).sum(axis=1)
     units = np.zeros_like(diffs)
-    hit = norms > 0
-    units[hit] = diffs[hit] / norms[hit, None]
+    normal = (squares >= np.finfo(np.float64).tiny) & (squares < math.inf)
+    units[normal] = diffs[normal] / np.sqrt(squares[normal])[:, None]
+    scaled = ~normal & (diffs != 0.0).any(axis=1)
+    rest = diffs[scaled] / np.abs(diffs[scaled]).max(axis=1)[:, None]
+    units[scaled] = rest / np.sqrt((rest * rest).sum(axis=1))[:, None]
     mean = units.sum(axis=0) / pts.shape[0]
     return min(1.0, max(0.0, 1.0 - float(np.sqrt((mean * mean).sum()))))

@@ -11,17 +11,19 @@ distance matrix or an embedding Gram matrix) followed by one reduction per
 index; ``compute_depths`` is the one leave-one-out front end, and a single
 query is the same reduction at its own index.  A plan lives only until its
 fields or its distance have been taken, so a leave-one-out report holds one
-accumulator per cloud.
+stacked accumulator per cloud size, plus one row of fields at a time.
 
 Determinism contract: population terms are accumulated in ascending index
 order with Neumaier compensation, and scalar reductions use ``math.fsum``,
 so results do not depend on how many threads solved the transport plans.
-Every WSD path forms unit fields only in ``_unit_fields`` (a displacement
-over the transport distance, or over infinity where that is zero, so
-exactly zero there) and adds them only in ``_depths``, elementwise into one
-stacked sum per query set: a query family (``wsd_empirical`` and
-``wsd_discrete`` take families of one) or one cloud of the leave-one-out
-sweep.  So each query gets the bits of its own accumulator.
+Every WSD path forms unit fields only in ``_unit_fields``, a batch of
+solved pairs at a time (a displacement over the transport distance, or
+over infinity where that is zero, so exactly zero there), and adds them
+only in ``_depths``, elementwise into one stacked sum per query set: a
+query family (``wsd_empirical`` and ``wsd_discrete`` take families of one)
+or the clouds of one size in the leave-one-out sweep.  Each element sees
+its own members' fields, one add each, in member order, so each query gets
+the bits of its own accumulator however the rows were batched.
 """
 from __future__ import annotations
 
@@ -42,15 +44,15 @@ from .errors import (
 )
 from .ot_core import (
     Cloud,
-    Coupling,
-    barycentric_map,
+    barycentric_maps,
     check_dimensions,
     check_threads,
     cloud_list,
     cost_blocks,
-    pair_sweep,
     plan_costs,
-    solve_row,
+    row_batches,
+    sweep_batches,
+    transposed_maps,
     w2_matrix,
 )
 
@@ -151,13 +153,16 @@ class _NeumaierSum:
         self._sum = np.zeros(shape)
         self._comp = np.zeros(shape)
 
-    def add(self, x: np.ndarray) -> None:
+    def add(self, x: np.ndarray, at=slice(None)) -> None:
+        """Adds ``x`` into the entries ``at`` (an index along the first
+        axis; an index array must not repeat)."""
         # two-sum: the exact rounding error of sum + x, as Neumaier's branch
         # on the larger magnitude gives it (it is unique: the same bits)
-        t = self._sum + x
-        z = t - self._sum
-        self._comp += (self._sum - (t - z)) + (x - z)
-        self._sum = t
+        s = self._sum[at]
+        t = s + x
+        z = t - s
+        self._comp[at] += (s - (t - z)) + (x - z)
+        self._sum[at] = t
 
     def total(self) -> np.ndarray:
         return self._sum + self._comp
@@ -192,32 +197,40 @@ def _wsd(
     return max(0.0, 1.0 - math.sqrt(radicand))
 
 
-def _unit_fields(plan: Coupling, a: Cloud, b: Cloud, points: np.ndarray, costs):
-    """Unit fields towards ``b`` of a ``(Q, a.m, d)`` stack of sources sharing
-    ``a``'s weights and ``plan``, and whether each is at nonzero distance:
-    the displacement to ``barycentric_map(plan, a, b)`` over the root of its
-    cost, or over infinity where that is zero.  No other code forms one."""
-    dist = [math.sqrt(cost) for cost in costs]
-    divisor = np.array([d or math.inf for d in dist])[:, None, None]
-    return (points - barycentric_map(plan, a, b)) / divisor, [d != 0.0 for d in dist]
+def _unit_fields(points: np.ndarray, images: np.ndarray, costs):
+    """Unit fields from ``points`` towards their barycentric ``images``, and
+    whether each is at nonzero distance: the displacement over the root of
+    its transport cost, or over infinity where that is zero.  ``costs`` is
+    an array of the fields' leading shape, without the atom and coordinate
+    axes, and ``points - images`` broadcasts to those fields.  No other
+    code forms one."""
+    dist = np.sqrt(costs)
+    live = dist != 0.0
+    return (points - images) / np.where(live, dist, math.inf)[..., None, None], live
 
 
-def _depths(sets: list, fields, count: int, single_member_rule: bool) -> list[float]:
+def _depths(sets: list, adds, count: int, single_member_rule: bool) -> list:
     """Depth of every query of every query set against ``count`` members.
 
-    ``fields`` yields ``(s, fields, live)`` per member of set ``s``, in
-    member order, from ``_unit_fields``.  Each set is one ``(Q, m, d)``
-    compensated sum beside its Q counts of live members, reduced by ``_wsd``.
+    Each set holds queries of one size, as one ``(Q, m, d)`` compensated
+    sum beside its Q counts of live members.  ``adds`` yields
+    ``(s, at, fields, live)``: a stack of unit fields from
+    ``_unit_fields``, added one after another, each elementwise into the
+    queries ``at`` of set ``s``, and how many of them are at nonzero
+    distance, per query; the stream hands each query its members' fields
+    in member order.  Each set's depths come back as a list, reduced by
+    ``_wsd``.
     """
     accs = [_NeumaierSum((len(qs), qs[0].m, qs[0].d)) for qs in sets]
-    live = [[0] * len(qs) for qs in sets]
-    for s, field, alive in fields:
-        accs[s].add(field)
-        live[s] = [n + x for n, x in zip(live[s], alive)]
+    live = [np.zeros(len(qs), dtype=np.int64) for qs in sets]
+    for s, at, fields, alive in adds:
+        for field in fields:
+            accs[s].add(field, at)
+        live[s][at] += alive
     return [
-        _wsd(q, total, n, count, single_member_rule)
+        [_wsd(q, total, n, count, single_member_rule)
+         for q, total, n in zip(qs, acc.total(), counts)]
         for qs, acc, counts in zip(sets, accs, live)
-        for q, total, n in zip(qs, acc.total(), counts)
     ]
 
 
@@ -232,8 +245,10 @@ def _wsd_direct(
     Only ``queries[0]`` is solved against the members; every other query
     must be an image of it that keeps its optimal plans (``_check_family``),
     and takes its fields from those plans, its own costs and the same
-    barycentric images.  The family is one query set: per member one cost
-    gather and one ``_unit_fields`` call serve every query.
+    barycentric images.  The family is one query set: per batch of members
+    one ``_unit_fields`` call forms every query's field towards every
+    member, ``(count, Q, m, d)``, and each member's ``(Q, m, d)`` slice is
+    one add, in member order.
     """
     pop = cloud_list(population)
     if not pop:
@@ -241,33 +256,79 @@ def _wsd_direct(
     check_dimensions([queries[0]] + pop)
     points = np.stack([q.points for q in queries])
 
-    def fields(plan: Coupling, cost: float, a: Cloud, b: Cloud):
-        others = plan_costs(plan, points[1:], b) if len(points) > 1 else ()
-        return (0, *_unit_fields(plan, a, b, points, [cost, *others]))
+    def step(plans, costs, a: Cloud, targets: list[Cloud]):
+        images = barycentric_maps(plans, a, targets, np.array([b.points for b in targets]))
+        costs = [
+            [cost, *(plan_costs(plan, points[1:], b) if len(points) > 1 else ())]
+            for plan, cost, b in zip(plans, costs, targets)
+        ]
+        return _unit_fields(points, images[:, None], costs)
 
-    row = solve_row(queries[0], pop, fields, threads=threads)
-    return _depths([queries], row, len(pop), single_member_rule)
+    fields, live = _in_member_order(row_batches(queries[0], pop, step, threads=threads))
+    adds = [(0, slice(None), fields, live.sum(axis=0))]
+    return _depths([queries], adds, len(pop), single_member_rule)[0]
 
 
-def _pair_fields(plan: Coupling, cost: float, a: Cloud, b: Cloud):
-    """The unit fields of a pair, ``a`` towards ``b`` and ``b`` towards
-    ``a``, each a family of one with its liveness."""
-    return (_unit_fields(plan, a, b, a.points[None], [cost]),
-            _unit_fields(plan.transpose(), b, a, b.points[None], [cost]))
+def _pair_fields(plans, costs, a: Cloud, targets: list[Cloud]):
+    """The unit fields of a batch of pairs with their liveness: ``a``
+    towards each target, ``(count, a.m, d)``, and each target towards
+    ``a``, ``(count, n, d)``."""
+    points = np.array([b.points for b in targets])
+    return (_unit_fields(a.points, barycentric_maps(plans, a, targets, points), costs),
+            _unit_fields(points, transposed_maps(plans, a, targets), costs))
+
+
+def _in_member_order(batches: list):
+    """The fields and liveness of ``row_batches`` outputs, stacked in
+    member order."""
+    if len(batches) == 1:
+        return batches[0][1]  # one batch holds every member, in order
+    fields, live = (np.concatenate(parts) for parts in zip(*(out for _, out in batches)))
+    order = np.argsort(np.concatenate([ks for ks, _ in batches]))
+    return fields[order], live[order]
+
+
+def _rows(rows: list[int]):
+    """Ascending ``rows`` as an index: a slice when they are evenly spaced,
+    so that an add works on views, else an index array."""
+    step = rows[1] - rows[0] if len(rows) > 1 else 1
+    if rows == list(range(rows[0], rows[-1] + 1, step)):
+        return slice(rows[0], rows[-1] + 1, step)
+    return np.array(rows)
 
 
 def _wsd_loo(clouds: list[Cloud], threads: int, single_member_rule: bool) -> np.ndarray:
     """Depth of every cloud against the rest, each pair solved once.
 
-    Each cloud is a query set of one.  The sweep is row-major, so each
+    The clouds of one size are one query set, in index order: one stacked
+    accumulator per size, so an equal-size collection has one.  Row ``i``
+    of the sweep adds each batch's target-side fields with one add at
+    those targets (each target takes one field per row), then cloud
+    ``i``'s own fields one by one in ascending target order.  So each
     cloud receives its fields in ascending index order, as a direct call
-    would add them.
+    would add them, for any thread count.
     """
     check_dimensions(clouds)
-    sweep = pair_sweep(clouds, _pair_fields, threads=threads)
-    fields = ((k, *out) for i, j, pair in sweep for k, out in zip((i, j), pair))
-    sets = [[c] for c in clouds]
-    return np.array(_depths(sets, fields, len(clouds) - 1, single_member_rule))
+    groups: dict[int, list[int]] = {}  # cloud indices by size
+    for k, c in enumerate(clouds):
+        groups.setdefault(c.m, []).append(k)
+    where = [(0, 0)] * len(clouds)  # (set, place in it) per cloud
+    for s, ks in enumerate(groups.values()):
+        for r, k in enumerate(ks):
+            where[k] = (s, r)
+
+    def adds():
+        for i, batches in sweep_batches(clouds, _pair_fields, threads=threads):
+            for ks, (_, (fields, live)) in batches:
+                places = [where[i + 1 + k] for k in ks]
+                yield places[0][0], _rows([r for _, r in places]), fields[None], live
+            if batches:  # the last cloud has no row of its own
+                fields, live = _in_member_order([(ks, out) for ks, (out, _) in batches])
+                yield (*where[i], fields, live.sum())
+
+    sets = [[clouds[k] for k in ks] for ks in groups.values()]
+    values = _depths(sets, adds(), len(clouds) - 1, single_member_rule)
+    return np.array([values[s][r] for s, r in where])
 
 
 # Largest residual of an image under its fitted map x -> s*x + c, relative
@@ -353,7 +414,7 @@ def wsd_empirical(
         DimensionMismatch: a member lives in a different dimension.
         InvalidParameter: ``threads`` not an integer >= 1, raised before any
             plan is solved.
-        WsdError: a solve failed, typed as in ``solve_row`` and named
+        WsdError: a solve failed, typed as in ``row_batches`` and named
             ``target k`` for member ``k``.
     """
     return _wsd_direct([q], population, threads, single_member_rule=True)[0]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property, wraps
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from importlib.util import module_from_spec
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -796,11 +796,7 @@ def barycentric_map(plan: Coupling, a: Cloud, b: Cloud) -> np.ndarray:
             f"plan shaped ({plan.source_size}, {plan.target_size}) does not"
             f" couple clouds with m={a.m} and m={b.m}"
         )
-    err = np.abs(plan.row_sums() - a.weights).max()
-    if err > BARYCENTRIC_MARGINAL_TOL:
-        raise MarginalMismatch(
-            f"plan row sums differ from source weights by {err:.3e}"
-        )
+    check_row_sums(plan.row_sums(), a.weights)
     if plan.permutation is not None:
         images = b.points[plan.permutation].copy()
     else:
@@ -808,6 +804,73 @@ def barycentric_map(plan: Coupling, a: Cloud, b: Cloud) -> np.ndarray:
         np.add.at(images, plan.rows, plan.mass[:, None] * b.points[plan.cols])
         images /= a.weights[:, None]
     return _freeze(images)
+
+
+def check_row_sums(sums: np.ndarray, weights: np.ndarray) -> None:
+    """``barycentric_map``'s check, for one plan or across a batch: raises
+    ``MarginalMismatch`` when some row sum differs from its source weight
+    beyond ``1e-6``."""
+    err = np.abs(sums - weights).max()
+    if err > BARYCENTRIC_MARGINAL_TOL:
+        raise MarginalMismatch(
+            f"plan row sums differ from source weights by {err:.3e}"
+        )
+
+
+def _stack_permutations(plans: Sequence[Coupling]):
+    """The permutations of a batch as ``(count, m)`` rows beside the batch
+    index of each row, or ``None`` unless every plan is a permutation."""
+    if not all(plan.permutation is not None for plan in plans):
+        return None
+    return np.array([plan.permutation for plan in plans]), np.arange(len(plans))[:, None]
+
+
+def barycentric_maps(
+    plans: Sequence[Coupling], a: Cloud, targets: Sequence[Cloud], points: np.ndarray
+) -> np.ndarray:
+    """``barycentric_map(plan, a, b)`` for each plan of a batch from ``a``
+    to targets of one size, stacked ``(count, a.m, d)``, bit for bit;
+    ``points`` stacks the targets' points, ``(count, n, d)``.  A batch of
+    permutation plans, whose row sums are their masses, checks them across
+    the batch and gathers every image from ``points`` at once; any other
+    batch is mapped plan by plan.
+
+    Raises:
+        MarginalMismatch: as ``barycentric_map``.
+    """
+    stacked = _stack_permutations(plans)
+    if stacked is None:
+        return np.array([barycentric_map(plan, a, b) for plan, b in zip(plans, targets)])
+    sigma, batch = stacked
+    check_row_sums(np.array([plan.mass for plan in plans]), a.weights)
+    return points[batch, sigma]
+
+
+def transposed_maps(
+    plans: Sequence[Coupling], a: Cloud, targets: Sequence[Cloud]
+) -> np.ndarray:
+    """``barycentric_map(plan.transpose(), b, a)`` for each plan of a batch
+    from ``a`` to targets of one size, stacked ``(count, n, d)``, bit for
+    bit.  A batch of permutation plans takes its inverse permutations and
+    the transposes' row sums from one scatter each, checks those sums
+    across the batch and gathers every image from ``a`` at once; any other
+    batch is transposed and mapped plan by plan.
+
+    Raises:
+        MarginalMismatch: as ``barycentric_map``.
+    """
+    stacked = _stack_permutations(plans)
+    if stacked is None:
+        return np.array([
+            barycentric_map(plan.transpose(), b, a) for plan, b in zip(plans, targets)
+        ])
+    sigma, batch = stacked
+    inverse = np.empty_like(sigma)
+    inverse[batch, sigma] = np.arange(a.m)
+    sums = np.empty(sigma.shape)
+    sums[batch, sigma] = np.array([plan.mass for plan in plans])
+    check_row_sums(sums, np.array([b.weights for b in targets]))
+    return a.points[inverse]
 
 
 def check_threads(threads: int) -> int:
@@ -851,13 +914,13 @@ def check_dimensions(clouds: Sequence[Cloud]) -> None:
 def _row(
     a: Cloud, targets: list[Cloud], step: Callable, threads: int, label: Callable
 ) -> list:
-    """:func:`solve_row`'s work and failure rule, naming target ``k`` as
+    """:func:`row_batches`' work and failure rule, naming target ``k`` as
     ``label(k)``."""
 
-    def run(unit: list[int]) -> list:
+    def run(unit: list[int]) -> tuple:
         batch = [targets[k] for k in unit]
-        plans = _path(a, batch[0])(a, batch)
-        return [step(plan, cost, a, b) for (plan, cost), b in zip(plans, batch)]
+        plans, costs = zip(*_path(a, batch[0])(a, batch))
+        return unit, step(plans, costs, a, batch)
 
     groups: dict[tuple, list[int]] = {}  # the targets, by solver and size
     for k, b in enumerate(targets):
@@ -866,18 +929,14 @@ def _row(
     try:  # in the order of ``units`` for any thread count
         if threads > 1 and len(units) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                solved = list(pool.map(run, units))
-        else:
-            solved = [run(unit) for unit in units]
+                return list(pool.map(run, units))
+        return [run(unit) for unit in units]
     except Exception:
         pass  # solved again pair by pair below
-    else:
-        done = dict(zip(chain.from_iterable(units), chain.from_iterable(solved)))
-        return [done[k] for k in range(len(targets))]
     outs = []
     for k in range(len(targets)):
         try:
-            outs += run([k])
+            outs.append(run([k]))
         except WsdError as exc:
             raise type(exc)(f"{label(k)}: {exc}") from exc
         except Exception as exc:  # foreign, e.g. from SciPy
@@ -885,22 +944,25 @@ def _row(
     return outs
 
 
-def solve_row(
+def row_batches(
     a: Cloud, targets: Sequence[Cloud], step: Callable, *, threads: int = 1
 ) -> list:
-    """``[step(plan, cost, a, b) for b in targets]``, solved as a batch.
+    """``(ks, step(plans, costs, a, batch))`` per batch of the row from
+    ``a``, where ``batch`` is the targets ``ks`` (ascending indices into
+    ``targets``), which share one solver and one size, and ``plans`` and
+    ``costs`` are their optimal plans and squared ``w2``, exactly as
+    ``solve_ot`` and ``plan_cost`` give them.
 
-    ``plan`` is the optimal plan from ``a`` to ``b`` and ``cost`` its
-    squared ``w2``, both exactly as ``solve_ot`` and ``plan_cost`` give
-    them.  The targets are solved in up to ``threads`` batches per solver
-    and size; on the assignment path (uniform, with a size that divides
-    ``a.m`` or that ``a.m`` divides) a batch shares its cost blocks.  Every
-    value is independent of the thread count.
+    The targets are cut into up to ``threads`` batches per solver and size;
+    on the assignment path (uniform, with a size that divides ``a.m`` or
+    that ``a.m`` divides) a batch shares its cost blocks.  Every plan and
+    cost is independent of the thread count; which targets share a batch
+    is not.
 
     One failure rule: if any solve or ``step`` raises, the row is solved
-    again pair by pair in target order, which gives the same bits, and the
-    first pair that fails there raises.  So the pair named depends neither
-    on ``threads`` nor on how the row was batched.
+    again pair by pair in target order, as batches of one, which gives the
+    same bits, and the first pair that fails there raises.  So the pair
+    named depends neither on ``threads`` nor on how the row was batched.
 
     Raises:
         InvalidParameter: ``threads`` not an integer >= 1, before any solve.
@@ -917,15 +979,48 @@ def solve_row(
     return _row(a, targets, step, threads, "target {}".format)
 
 
-def pair_sweep(clouds: Sequence[Cloud], step: Callable, *, threads: int = 1):
+def _pairwise(step: Callable) -> Callable:
+    """The per-pair ``step(plan, cost, a, b)`` as a batch step: one output
+    per target of the batch."""
+
+    def batch(plans, costs, a: Cloud, targets: list[Cloud]) -> list:
+        return [step(plan, cost, a, b) for plan, cost, b in zip(plans, costs, targets)]
+
+    return batch
+
+
+def _in_target_order(batches: list) -> list:
+    """The per-target outputs of ``_pairwise`` batches, in target order."""
+    done = {k: out for ks, outs in batches for k, out in zip(ks, outs)}
+    return [done[k] for k in range(len(done))]
+
+
+def solve_row(
+    a: Cloud, targets: Sequence[Cloud], step: Callable, *, threads: int = 1
+) -> list:
+    """``[step(plan, cost, a, b) for b in targets]``, solved as a batch.
+
+    ``plan`` is the optimal plan from ``a`` to ``b`` and ``cost`` its
+    squared ``w2``, both exactly as ``solve_ot`` and ``plan_cost`` give
+    them.  The row is solved, batched and failed as in
+    :func:`row_batches`, with ``step`` called on each pair of a batch;
+    every value is independent of the thread count.
+
+    Raises:
+        InvalidParameter, InvalidCloud, DimensionMismatch, WsdError: as in
+            :func:`row_batches`.
+    """
+    return _in_target_order(row_batches(a, targets, _pairwise(step), threads=threads))
+
+
+def sweep_batches(clouds: Sequence[Cloud], step: Callable, *, threads: int = 1):
     """Solve every unordered pair of clouds once, row by row.
 
-    Yields ``(i, j, step(plan, cost, clouds[i], clouds[j]))`` for ``i < j``
-    in row-major order, where ``plan`` is the optimal plan from cloud ``i``
-    to cloud ``j`` and ``cost`` its squared ``w2``.  Each row is solved,
-    and fails, as in :func:`solve_row`; only ``step``'s results are kept,
-    and only until the row has been yielded.  Every value is independent of
-    the thread count.
+    Yields ``(i, row_batches(clouds[i], clouds[i + 1:], step))`` for each
+    ``i`` in ascending order, so target ``k`` of row ``i`` is cloud
+    ``i + 1 + k``.  Each row is solved, batched and failed as in
+    :func:`row_batches`; only ``step``'s outputs are kept, and only until
+    the row has been yielded.
 
     Raises:
         InvalidParameter: ``threads`` not an integer >= 1, before any solve.
@@ -933,20 +1028,35 @@ def pair_sweep(clouds: Sequence[Cloud], step: Callable, *, threads: int = 1):
             iterated, before any solve.
         DimensionMismatch: clouds of different dimensions, before any solve.
         WsdError: the first failing pair of the first failing row, named as
-            ``clouds (i, j)`` and typed as in :func:`solve_row`.
+            ``clouds (i, j)`` and typed as in :func:`row_batches`.
     """
     clouds = cloud_list(clouds)
     threads = check_threads(threads)
     check_dimensions(clouds)
     for i in range(len(clouds)):
-        row = _row(clouds[i], clouds[i + 1:], step, threads,
-                   lambda k: f"clouds ({i}, {i + 1 + k})")
-        for k, out in enumerate(row):
+        yield i, _row(clouds[i], clouds[i + 1:], step, threads,
+                      lambda k: f"clouds ({i}, {i + 1 + k})")
+
+
+def pair_sweep(clouds: Sequence[Cloud], step: Callable, *, threads: int = 1):
+    """Yields ``(i, j, step(plan, cost, clouds[i], clouds[j]))`` for every
+    pair ``i < j`` in row-major order, where ``plan`` is the optimal plan
+    from cloud ``i`` to cloud ``j`` and ``cost`` its squared ``w2``.  The
+    pairs are solved, and fail, as in :func:`sweep_batches`, with ``step``
+    called on each pair of a batch; every value is independent of the
+    thread count.
+
+    Raises:
+        InvalidParameter, InvalidCloud, DimensionMismatch, WsdError: as in
+            :func:`sweep_batches`.
+    """
+    for i, batches in sweep_batches(clouds, _pairwise(step), threads=threads):
+        for k, out in enumerate(_in_target_order(batches)):
             yield i, i + 1 + k, out
 
 
-def _cost(plan: Coupling, cost: float, a: Cloud, b: Cloud) -> float:
-    return cost
+def _costs(plans, costs, a: Cloud, targets: list[Cloud]):
+    return costs
 
 
 def w2_matrix(clouds: Sequence[Cloud], *, threads: int = 1) -> np.ndarray:
@@ -957,6 +1067,8 @@ def w2_matrix(clouds: Sequence[Cloud], *, threads: int = 1) -> np.ndarray:
     """
     clouds = cloud_list(clouds)
     out = np.zeros((len(clouds), len(clouds)))
-    for i, j, cost in pair_sweep(clouds, _cost, threads=threads):
-        out[i, j] = out[j, i] = math.sqrt(cost)
+    for i, batches in sweep_batches(clouds, _costs, threads=threads):
+        for ks, costs in batches:
+            js = [i + 1 + k for k in ks]
+            out[i, js] = out[js, i] = [math.sqrt(cost) for cost in costs]
     return out

@@ -1,5 +1,6 @@
 """Closed-form oracles: Gaussian transport, analytic depths, spatial depth."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -209,3 +210,54 @@ def test_spatial_depth_range_on_random_instances(rng):
         x = rng.normal(size=3)
         pts = rng.normal(size=(rng.integers(1, 12), 3))
         assert 0.0 <= euclid_spatial_depth(x, pts) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "x, points",
+    [
+        ([0.0, 0.0], [[math.nan, 0.0], [1.0, 0.0]]),
+        ([0.0, 0.0], [[math.nan, 0.0], [1.0, 0.0], [-1.0, 0.0]]),
+        ([0.0, 0.0], [[math.inf, 0.0], [1.0, 0.0]]),
+        ([0.0, 0.0], [[1.0, -math.inf], [1.0, 0.0]]),
+        ([math.nan, 0.0], [[1.0, 0.0], [-1.0, 0.0]]),
+        ([0.0, math.inf], [[1.0, 0.0], [-1.0, 0.0]]),
+    ],
+)
+def test_spatial_depth_refuses_coordinates_that_are_not_finite(x, points):
+    # a NaN point used to count as one at the query (0.5 and 1.0 here), and
+    # an infinite one to divide inf by inf
+    with pytest.raises(InvalidParameter, match="finite"):
+        euclid_spatial_depth(x, points)
+
+
+@pytest.mark.parametrize(
+    "x, points, want",
+    [
+        # squared norms that overflow float64
+        ([0.0, 0.0], [[1e200, 0.0], [-1e200, 0.0], [1.0, 0.0]], 2.0 / 3.0),
+        ([0.0, 0.0], [[1e200, 0.0], [0.0, 1e200]], 1.0 - math.sqrt(0.5)),
+        # squared norms below the normal range, or exactly zero
+        ([0.0, 0.0], [[1e-200, 0.0], [0.0, 1e-200]], 1.0 - math.sqrt(0.5)),
+        ([0.0, 0.0], [[1e-160, 0.0], [0.0, 5e-324]], 1.0 - math.sqrt(0.5)),
+        # differences that overflow float64
+        ([-1.5e308, 0.0], [[1.5e308, 0.0], [-1.5e308, 1.0]], 1.0 - math.sqrt(0.5)),
+    ],
+)
+def test_spatial_depth_keeps_directions_at_extreme_scales(x, points, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert euclid_spatial_depth(x, points) == pytest.approx(want, abs=1e-15)
+
+
+def test_spatial_depth_keeps_its_bits_at_normal_scales(rng):
+    # the plain formula wherever the squared norms are finite and normal
+    for scale in (1e-100, 1.0, 1e100):
+        x = rng.normal(size=3) * scale
+        pts = np.vstack([rng.normal(size=(9, 3)) * scale, x])
+        diffs = pts - x
+        norms = np.sqrt((diffs * diffs).sum(axis=1))
+        units = np.zeros_like(diffs)
+        units[:-1] = diffs[:-1] / norms[:-1, None]
+        mean = units.sum(axis=0) / pts.shape[0]
+        want = min(1.0, max(0.0, 1.0 - float(np.sqrt((mean * mean).sum()))))
+        assert euclid_spatial_depth(x, pts) == want

@@ -25,7 +25,14 @@ from wsdepth import (
     wsd_empirical,
     wsd_query_family,
 )
-from wsdepth.depth import _NeumaierSum, _embedding_gram, _kernel_spatial, make_report
+from wsdepth.depth import (
+    _NeumaierSum,
+    _depths,
+    _embedding_gram,
+    _in_member_order,
+    _kernel_spatial,
+    make_report,
+)
 from wsdepth.ot_core import cost_matrix, pair_sweep, solve_row
 from wsdepth.sim import DataArray
 
@@ -91,6 +98,24 @@ def test_compensated_add_matches_neumaiers_branch_bitwise(rng):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+def test_members_reach_the_accumulator_in_member_order(monkeypatch):
+    # five terms whose compensated sum changes in the last bit when they
+    # are added reversed, or in the order two threads batch them
+    terms = [-2.349131819469042e18, -6.338601977945909e-07, 2.963790384079316e-14,
+             -2.57589484139596e-16, 2.349131819469042e18]
+    want = _NeumaierSum((1, 1, 1))
+    for x in terms:
+        want.add(np.full((1, 1, 1), x))
+    totals = []
+    monkeypatch.setattr(wsdepth.depth, "_wsd", lambda q, total, *rest: totals.append(total))
+    fields = np.array(terms).reshape(5, 1, 1, 1)  # member, query, atom, coordinate
+    live = np.ones((5, 1), dtype=bool)
+    batches = [([0, 2, 4], (fields[0::2], live[0::2])), ([1, 3], (fields[1::2], live[1::2]))]
+    fields, live = _in_member_order(batches)
+    _depths([[point_mass(0.0)]], [(0, slice(None), fields, live.sum(axis=0))], 5, False)
+    assert [t.tobytes() for t in totals] == [want.total()[0].tobytes()]
+
+
 def test_two_distinct_clouds_have_zero_depth(rng):
     a = make_cloud(rng, 5, 2)
     b = make_cloud(rng, 5, 2)
@@ -133,6 +158,20 @@ def test_empty_population_raises(rng):
 # ---------------------------------------------------------------------------
 
 
+def _every_batch_shape(rng):
+    """Clouds of 6, 3 and 1 points, the sizes interleaved: permutation
+    batches (6 against 6, 3 against 3) holding a copy at distance zero
+    beside live targets, replicated pairs (6 against 3, ``k = 2``), lattice
+    clouds whose blocks are not reduced, and point masses."""
+    base = make_cloud(rng, 6, 2)
+    lattice = [Cloud(rng.integers(0, 3, size=(m, 2)).astype(float)) for m in (6, 6, 3)]
+    return [
+        base, make_cloud(rng, 3, 2), lattice[0], Cloud(base.points),
+        point_mass(0.5, -0.5), lattice[2], make_cloud(rng, 6, 2), lattice[1],
+        make_cloud(rng, 3, 2), point_mass(-1.0, 2.0),
+    ]
+
+
 def test_wsd_all_matches_individual_calls_bitwise(rng):
     clouds = [make_cloud(rng, 7, 2) for _ in range(6)]
     report = wsd_all(clouds)
@@ -152,6 +191,7 @@ def test_wsd_all_matches_individual_calls_bitwise(rng):
         "assignment": with_copies([make_cloud(rng, 7, 2) for _ in range(3)]),
         "replicated": with_copies([make_cloud(rng, m, 2) for m in (3, 6, 3)]),
         "identical pair": [pair, Cloud(pair.points)],
+        "every batch shape": _every_batch_shape(rng),
     }
     for name, clouds in collections.items():
         for method, single in (("wsd", wsd_empirical), ("wsd_discrete", wsd_discrete)):
@@ -179,6 +219,7 @@ def test_wsd_all_threaded_is_bit_identical(rng):
         ],
         "point masses": [make_cloud(rng, 1 if k % 2 else 4, 2) for k in range(5)],
         "duplicated": [Cloud(np.vstack([dup, dup[:2]]) + k) for k in range(5)],
+        "every batch shape": _every_batch_shape(rng),
     }
     for name, clouds in collections.items():
         for method in ("wsd", "wsd_discrete"):
@@ -189,6 +230,23 @@ def test_wsd_all_threaded_is_bit_identical(rng):
                     serial,
                     err_msg=f"{name}, {method}, threads={threads}",
                 )
+
+
+@pytest.mark.parametrize("method", ["wsd", "wsd_discrete"])
+def test_leave_one_out_holds_one_stacked_accumulator_per_size(method, rng, monkeypatch):
+    shapes = []
+
+    class Recorded(_NeumaierSum):
+        def __init__(self, shape):
+            shapes.append(shape)
+            super().__init__(shape)
+
+    monkeypatch.setattr(wsdepth.depth, "_NeumaierSum", Recorded)
+    compute_depths(_every_batch_shape(rng), method)
+    assert shapes == [(5, 6, 2), (3, 3, 2), (2, 1, 2)]  # in order of first size
+    shapes.clear()
+    compute_depths([make_cloud(rng, 7, 3) for _ in range(4)], method)
+    assert shapes == [(4, 7, 3)]
 
 
 @pytest.mark.parametrize("method", ["wsd", "lens"])

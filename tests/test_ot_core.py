@@ -31,7 +31,15 @@ from wsdepth import (
 )
 import wsdepth.depth
 import wsdepth.ot_core
-from wsdepth.ot_core import cost_blocks, cost_matrix, plan_cost, plan_costs, solve_row
+from wsdepth.ot_core import (
+    barycentric_maps,
+    cost_blocks,
+    cost_matrix,
+    plan_cost,
+    plan_costs,
+    solve_row,
+    transposed_maps,
+)
 
 from conftest import brute_force_assignment_cost, make_cloud, refuse_solves
 
@@ -391,6 +399,52 @@ def test_barycentric_rejects_bad_marginals(rng):
 
 
 @pytest.mark.parametrize(
+    "kind", ["equal", "1-D equal", "replicated", "LP", "1-D weighted", "point mass", "mixed"]
+)
+def test_batch_images_equal_per_plan_maps_bitwise(kind, rng):
+    a = make_cloud(rng, 6, 1 if kind.startswith("1-D") else 2)
+    targets = {
+        "equal": lambda: [make_cloud(rng, 6, 2) for _ in range(4)] + [Cloud(a.points)],
+        "1-D equal": lambda: [make_cloud(rng, 6, 1) for _ in range(4)],
+        "replicated": lambda: [make_cloud(rng, 3, 2) for _ in range(4)],
+        "LP": lambda: [make_cloud(rng, 6, 2, uniform=False) for _ in range(4)],
+        "1-D weighted": lambda: [make_cloud(rng, 6, 1, uniform=False) for _ in range(4)],
+        "point mass": lambda: [make_cloud(rng, 1, 2) for _ in range(4)],
+        # a permutation plan beside a split one: mapped plan by plan
+        "mixed": lambda: [make_cloud(rng, 6, 2), make_cloud(rng, 6, 2, uniform=False)],
+    }[kind]()
+    plans = [solve_ot(a, b) for b in targets]
+    points = np.stack([b.points for b in targets])
+    got = barycentric_maps(plans, a, targets, points)
+    want = np.stack([barycentric_map(plan, a, b) for plan, b in zip(plans, targets)])
+    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+    got = transposed_maps(plans, a, targets)
+    want = np.stack([
+        barycentric_map(plan.transpose(), b, a) for plan, b in zip(plans, targets)
+    ])
+    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+
+def test_batch_images_check_row_sums_across_the_batch(rng):
+    a = make_cloud(rng, 4, 2)
+    targets = [make_cloud(rng, 4, 2) for _ in range(3)]
+    plans = [solve_ot(a, b) for b in targets]
+    off = Coupling.from_permutation(plans[1].permutation, a.weights * [1.0, 1.0, 1.01, 0.99])
+    points = np.stack([b.points for b in targets])
+    for run, alone in (
+        (lambda ps: barycentric_maps(ps, a, targets, points),
+         lambda: barycentric_map(off, a, targets[1])),
+        (lambda ps: transposed_maps(ps, a, targets),
+         lambda: barycentric_map(off.transpose(), targets[1], a)),
+    ):
+        with pytest.raises(MarginalMismatch) as want:
+            alone()
+        with pytest.raises(MarginalMismatch, match=f"^{want.value}$"):
+            run([plans[0], off, plans[2]])
+        run(plans)
+
+
+@pytest.mark.parametrize(
     "rows, cols, mass",
     [
         ([0, 0], [0, 5], [0.5, 0.5]),  # a target index past target_size
@@ -484,17 +538,19 @@ def test_pair_failures_are_typed_and_name_the_pair(raised, expected, rng, monkey
     pair, single = r"clouds \(0, 1\)", "target 0"
     # the solve under the sweep and under single queries, on the LP and the
     # assignment solver, and the image step, which runs after the pair's
-    # solve and cost
+    # solve and cost: the batch-wide row-sum check of permutation plans, and
+    # the per-plan map of any other
     for module, name, run, collection, where in [
         (wsdepth.ot_core, "_solve_lp", w2_matrix, ragged, pair),
         (wsdepth.ot_core, "_solve_assignments", w2_matrix, clouds, pair),
-        (wsdepth.depth, "barycentric_map", wsd_all, clouds, pair),
+        (wsdepth.ot_core, "check_row_sums", wsd_all, clouds, pair),
+        (wsdepth.ot_core, "barycentric_map", wsd_all, ragged, pair),
         (wsdepth.ot_core, "_solve_lp", empirical, ragged, single),
         (wsdepth.ot_core, "_solve_assignments", empirical, clouds, single),
-        (wsdepth.depth, "barycentric_map", empirical, clouds, single),
+        (wsdepth.ot_core, "check_row_sums", empirical, clouds, single),
         (wsdepth.ot_core, "_solve_lp", discrete, ragged, single),
         (wsdepth.ot_core, "_solve_assignments", discrete, clouds, single),
-        (wsdepth.depth, "barycentric_map", discrete, ragged, single),
+        (wsdepth.ot_core, "barycentric_map", discrete, ragged, single),
     ]:
         with monkeypatch.context() as patch:
             patch.setattr(module, name, fail)
