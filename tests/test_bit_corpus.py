@@ -10,8 +10,9 @@ against the rest on seeded clouds that reach every solver the pair
 dispatch can pick: 1-D, point mass, reduced and unreduced assignment,
 replicated assignment both ways round (one pair of 400 -> 200 points), the
 ragged and the weighted transport LP, near-duplicate atoms, one d=2 case
-of 300 points, and exact copies of clouds (pairs at transport distance
-zero, on the assignment path and on the LP).  Every output is computed at
+of 300 points, exact copies of clouds (pairs at transport distance
+zero, on the assignment path and on the LP), and 31 small clouds whose
+every solver group spans several rows of the sweep.  Every output is computed at
 threads 1 and 2 and must give the same digests, recorded from a known-good
 build (x86-64 Linux, NumPy 2.4, SciPy 1.17).
 """
@@ -70,6 +71,17 @@ def _copies(rng):
     ]
 
 
+def _many_small(rng):
+    """31 small clouds whose every solver group spans several rows: sizes 3,
+    6 and 12 interleaved (equal, ``k = 2`` and ``k = 4`` assignment pairs),
+    two ragged clouds on the LP, a point mass and an exact copy."""
+    clouds = [_normal(rng, m, 2) for m in (3, 6, 12) * 9]
+    clouds[4:4] = [_normal(rng, 5, 2)]
+    clouds[11:11] = [_normal(rng, 1, 2)]
+    clouds[17:17] = [_normal(rng, 7, 2)]
+    return clouds + [Cloud(clouds[1].points)]
+
+
 CASES = {
     "1-D": lambda rng: [_normal(rng, m, 1) for m in (7, 7, 9, 5)]
     + [_normal(rng, 6, 1, weighted=True)],
@@ -88,6 +100,7 @@ CASES = {
     + [_exact_duplicates(rng, 10, 2)],
     "d2-300": lambda rng: [_normal(rng, 300, 2) for _ in range(3)],
     "copies": _copies,
+    "many-small": _many_small,
 }
 
 # Cases with a pair of clouds of d > 1 that both repeat a coordinate value.
@@ -261,6 +274,18 @@ DIGESTS = {
         "metric_spatial": "950982133c6281a6c92f688367a49318e609a0e8223cb2410e00e3926cf7699c",
         "kernel_spatial": "521a6b07f24d565d9fed91ad26de12a45a2827116fbe1258fb1fa3f9c43a9442",
         "competitor_queries": "4f0b819b1423ff2661195bd86a236fcd3bcdcea8cfb42b14f7fa4049a778f55f",
+    },
+    "many-small": {
+        "w2_matrix": "9cc4f4235e9fa483585a56bec1ddeb3f060caab5da6c389c776b8bb08b9634ab",
+        "wsd_all": "04af904cf273dfe5b78d93a788736f572c648429dceb67cafe488e6cc1d9c9c0",
+        "wsd_discrete": "a90c4500597acb24f116253db42dc73958bf766991bb9e4dbb7b18cb99fcb5ef",
+        "wsd_empirical": "84b68949653ba02c4195f8008a9608892160af4116f7957dd2722b544e7933a2",
+        "wsd_empirical_exclude": "a90c4500597acb24f116253db42dc73958bf766991bb9e4dbb7b18cb99fcb5ef",
+        "wsd_query_family": "f8a4c3e0231e4041d34f42d4b17e283b9ca47f98f7df8c73f0f1b4cd676c4496",
+        "lens": "bf3768a46b8a04d8cecf7f9f9704943e5d2a32efd8315a575787d682d397076e",
+        "metric_spatial": "29689c2ee0234ebed31a717de127307f5be8cf887b838619bc2ddaf2b0b16c30",
+        "kernel_spatial": "ce5ab3468dbf6c6433d47e2ff45da629c79abc8e143c0c9336a168cacfde6c45",
+        "competitor_queries": "ffac245950bc21fa13c6073d80f187ac3a3ae40fe001f47cac5f6f158af2d287",
     },
 }
 
