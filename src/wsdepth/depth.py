@@ -11,7 +11,9 @@ distance matrix or an embedding Gram matrix) followed by one reduction per
 index; ``compute_depths`` is the one leave-one-out front end, and a single
 query is the same reduction at its own index.  A plan lives only until its
 fields or its distance have been taken, so a leave-one-out report holds one
-stacked accumulator per cloud size, plus one row of fields at a time.
+stacked accumulator per cloud size, plus the fields of one unit of the
+sweep at a time: the whole rows that ``ot_core`` solves together, one row
+for large clouds and several for small ones.
 
 Determinism contract: population terms are accumulated in ascending index
 order with Neumaier compensation, and scalar reductions use ``math.fsum``,
@@ -45,12 +47,13 @@ from .errors import (
 from .ot_core import (
     Cloud,
     barycentric_maps,
+    batch_costs,
     check_dimensions,
     check_threads,
     cloud_list,
     cost_blocks,
-    plan_costs,
     row_batches,
+    stacked_rows,
     sweep_batches,
     transposed_maps,
     w2_matrix,
@@ -197,16 +200,18 @@ def _wsd(
     return max(0.0, 1.0 - math.sqrt(radicand))
 
 
-def _unit_fields(points: np.ndarray, images: np.ndarray, costs):
-    """Unit fields from ``points`` towards their barycentric ``images``, and
-    whether each is at nonzero distance: the displacement over the root of
-    its transport cost, or over infinity where that is zero.  ``costs`` is
-    an array of the fields' leading shape, without the atom and coordinate
-    axes, and ``points - images`` broadcasts to those fields.  No other
-    code forms one."""
+def _unit_fields(costs, *sides) -> tuple[list, np.ndarray]:
+    """Unit fields from each side's ``points`` towards their barycentric
+    ``images``, and whether each pair is at nonzero distance: the
+    displacement over the root of its transport cost, or over infinity
+    where that is zero.  ``costs`` is an array of the fields' leading
+    shape, without the atom and coordinate axes, and for each side
+    ``(points, images)``, ``points - images`` broadcasts to those fields.
+    No other code forms one."""
     dist = np.sqrt(costs)
     live = dist != 0.0
-    return (points - images) / np.where(live, dist, math.inf)[..., None, None], live
+    divisor = np.where(live, dist, math.inf)[..., None, None]
+    return [(points - images) / divisor for points, images in sides], live
 
 
 def _depths(sets: list, adds, count: int, single_member_rule: bool) -> list:
@@ -257,12 +262,11 @@ def _wsd_direct(
     points = np.stack([q.points for q in queries])
 
     def step(plans, costs, a: Cloud, targets: list[Cloud]):
-        images = barycentric_maps(plans, a, targets, np.array([b.points for b in targets]))
-        costs = [
-            [cost, *(plan_costs(plan, points[1:], b) if len(points) > 1 else ())]
-            for plan, cost, b in zip(plans, costs, targets)
-        ]
-        return _unit_fields(points, images[:, None], costs)
+        images = barycentric_maps(plans, a, targets, stacked_rows([b.points for b in targets]))
+        others = batch_costs(plans, points[1:], targets) if len(points) > 1 else [()] * len(costs)
+        costs = [[cost, *rest] for cost, rest in zip(costs, others)]
+        [fields], live = _unit_fields(costs, (points, images[:, None]))
+        return fields, live
 
     fields, live = _in_member_order(row_batches(queries[0], pop, step, threads=threads))
     adds = [(0, slice(None), fields, live.sum(axis=0))]
@@ -273,19 +277,25 @@ def _pair_fields(plans, costs, a: Cloud, targets: list[Cloud]):
     """The unit fields of a batch of pairs with their liveness: ``a``
     towards each target, ``(count, a.m, d)``, and each target towards
     ``a``, ``(count, n, d)``."""
-    points = np.array([b.points for b in targets])
-    return (_unit_fields(a.points, barycentric_maps(plans, a, targets, points), costs),
-            _unit_fields(points, transposed_maps(plans, a, targets), costs))
+    points = stacked_rows([b.points for b in targets])
+    (there, back), live = _unit_fields(
+        costs,
+        (a.points, barycentric_maps(plans, a, targets, points)),
+        (points, transposed_maps(plans, a, targets)),
+    )
+    return (there, live), (back, live)
 
 
 def _in_member_order(batches: list):
-    """The fields and liveness of ``row_batches`` outputs, stacked in
-    member order."""
+    """The fields of ``row_batches`` outputs, one by one in member order,
+    and their liveness, stacked in member order."""
     if len(batches) == 1:
         return batches[0][1]  # one batch holds every member, in order
-    fields, live = (np.concatenate(parts) for parts in zip(*(out for _, out in batches)))
-    order = np.argsort(np.concatenate([ks for ks, _ in batches]))
-    return fields[order], live[order]
+    members = sorted(
+        ((k, fields[t], live[t]) for ks, (fields, live) in batches for t, k in enumerate(ks)),
+        key=lambda member: member[0],
+    )
+    return [field for _, field, _ in members], np.array([live for _, _, live in members])
 
 
 def _rows(rows: list[int]):

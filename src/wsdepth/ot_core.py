@@ -27,7 +27,7 @@ import os
 import queue
 import sys
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
@@ -342,6 +342,93 @@ class Coupling:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class PlanBatch:
+    """The optimal plans of a batch of pairs, in pair order: sources of
+    ``source_size`` atoms, targets of ``target_size``.
+
+    Assignment plans come stacked: ``hits[t, i]`` is the atom of the
+    smaller cloud of pair ``t`` that atom ``i`` of the larger one ships its
+    whole mass ``mass[t, i]`` to, its own weight.  Any other plans come as
+    ``couplings``, one per pair.  ``batch[lo:hi]`` is the batch of pairs
+    ``lo`` to ``hi - 1``, sharing the arrays.
+    """
+
+    source_size: int
+    target_size: int
+    couplings: tuple = ()
+    hits: Optional[np.ndarray] = None
+    mass: Optional[np.ndarray] = None
+
+    def __len__(self) -> int:
+        return len(self.couplings) if self.hits is None else len(self.hits)
+
+    def __getitem__(self, pairs: slice) -> "PlanBatch":
+        if self.hits is None:
+            return PlanBatch(self.source_size, self.target_size, self.couplings[pairs])
+        return PlanBatch(self.source_size, self.target_size,
+                         hits=self.hits[pairs], mass=self.mass[pairs])
+
+    def coupling(self, t: int) -> Coupling:
+        """Plan ``t`` as a ``Coupling``, as ``solve_ot`` gives it."""
+        if self.hits is None:
+            return self.couplings[t]
+        m, n = self.source_size, self.target_size
+        hits, mass = _freeze(self.hits[t].copy()), self.mass[t]
+        if m >= n:
+            return Coupling(_freeze(np.arange(m, dtype=np.int64)), hits,
+                            _freeze(mass.copy()), m, n, hits if m == n else None)
+        cols = _freeze(np.argsort(hits, kind="stable"))  # (source, target) order
+        return Coupling(_freeze(hits[cols]), cols, _freeze(mass[cols]), m, n)
+
+    @cached_property
+    def permutations(self):
+        """``(sigma, mass)``, both ``(count, source_size)``: every plan's
+        permutation and masses, or ``None`` unless every plan is one."""
+        if self.hits is not None:
+            return (self.hits, self.mass) if self.source_size == self.target_size else None
+        if not all(plan.permutation is not None for plan in self.couplings):
+            return None
+        return (np.array([plan.permutation for plan in self.couplings]),
+                np.array([plan.mass for plan in self.couplings]))
+
+    @property
+    def mixed(self) -> bool:
+        """True when some plans are permutations and others are not."""
+        return self.permutations is None and any(
+            plan.permutation is not None for plan in self.couplings
+        )
+
+    @cached_property
+    def entries(self):
+        """``(at_source, at_target, rows, mass)``: every plan's entries,
+        each plan's in ``(source, target)`` order, plan after plan, with
+        their source and target atoms numbered across the batch (plan
+        ``t``'s atoms after those of the plans before it) and ``rows`` the
+        source atoms within each plan."""
+        m, n = self.source_size, self.target_size
+        if len(self.couplings) == 1:
+            plan = self.couplings[0]
+            return plan.rows, plan.cols, plan.rows, plan.mass
+        if self.hits is None:
+            plans = self.couplings
+            pair = np.repeat(np.arange(len(plans)), [plan.mass.size for plan in plans])
+            rows, cols, mass = (np.concatenate([getattr(plan, name) for plan in plans])
+                                for name in ("rows", "cols", "mass"))
+            return pair * m + rows, pair * n + cols, rows, mass
+        count, big = self.hits.shape
+        start = np.arange(count)[:, None]
+        if m >= n:
+            rows = np.broadcast_to(np.arange(m), (count, m))
+            cols, mass = self.hits, self.mass
+        else:
+            cols = np.argsort(self.hits, axis=1, kind="stable")
+            rows = np.take_along_axis(self.hits, cols, axis=1)
+            mass = np.take_along_axis(self.mass, cols, axis=1)
+        return ((rows + start * m).ravel(), (cols + start * n).ravel(), rows.ravel(),
+                mass.ravel())
+
+
 # ---------------------------------------------------------------------------
 # cost helpers
 # ---------------------------------------------------------------------------
@@ -397,7 +484,8 @@ def _finite(cost: np.ndarray) -> np.ndarray:
 def _cost_sums(mass: np.ndarray, x: np.ndarray, y: np.ndarray) -> list[float]:
     """``sum_e mass[e] * |x[e] - y[e]|^2`` per pair, correctly rounded: the
     one place cost terms are summed.  After broadcasting, ``x`` and ``y``
-    are ``(pairs, entries, d)`` and ``mass`` is ``(pairs, entries)``; each
+    are ``(..., entries, d)`` and ``mass`` is ``(..., entries)``, the
+    leading axes indexing the pairs, flattened in order; each
     squared displacement is summed in coordinate order from zero, as in
     ``cost_matrix``, and each pair's terms by ``math.fsum``.
 
@@ -405,12 +493,14 @@ def _cost_sums(mass: np.ndarray, x: np.ndarray, y: np.ndarray) -> list[float]:
         NumericalError: the cost of some pair overflows float64.
     """
     with np.errstate(over="ignore"):
-        diff = x - y
-        sq = diff * diff
+        sq = x - y
+        sq *= sq
     entry = sq[..., 0].copy()
     for k in range(1, sq.shape[-1]):
         entry += sq[..., k]
-    costs = [math.fsum(terms) for terms in (mass * entry).tolist()]
+    del sq
+    entry *= mass  # the terms
+    costs = [math.fsum(pair) for pair in entry.reshape(-1, entry.shape[-1]).tolist()]
     if not all(map(math.isfinite, costs)):
         raise NumericalError(_OVERFLOW)
     return costs
@@ -454,7 +544,7 @@ def _marginal_error(row_err: float, col_err: float, tol: float) -> NumericalErro
 
 def _per_target(solve: Callable) -> Callable:
     """``solve``, which maps a pair ``(a, b)`` to its plan, as a batch
-    solver: each target is solved alone, and its plan checked against both
+    solver: each pair is solved alone, and its plan checked against both
     weights within ``1e-9`` and costed by ``plan_cost``."""
 
     def checked(a: Cloud, b: Cloud) -> tuple[Coupling, float]:
@@ -466,8 +556,9 @@ def _per_target(solve: Callable) -> Callable:
         return plan, plan_cost(plan, a, b)
 
     @wraps(solve)
-    def batch(a: Cloud, targets: Sequence[Cloud]) -> list[tuple[Coupling, float]]:
-        return [checked(a, b) for b in targets]
+    def batch(shares: Sequence[tuple[Cloud, Sequence[Cloud]]]) -> tuple[PlanBatch, list]:
+        plans, costs = zip(*[checked(a, b) for a, targets in shares for b in targets])
+        return PlanBatch(plans[0].source_size, plans[0].target_size, plans), list(costs)
 
     return batch
 
@@ -559,74 +650,83 @@ def _reduced(cost: np.ndarray, n: int, skip: np.ndarray) -> np.ndarray:
 
 
 def _solve_assignments(
-    a: Cloud, targets: Sequence[Cloud]
-) -> list[tuple[Coupling, float]]:
-    """Optimal plans and their costs from ``a`` to each target.
+    shares: Sequence[tuple[Cloud, Sequence[Cloud]]]
+) -> tuple[PlanBatch, list]:
+    """Optimal plans and their costs from each source ``a`` of ``shares``,
+    ``(a, targets)`` per row, to each of its targets, stacked in pair order.
 
     ``_path`` gives this solver for uniform clouds whose sizes divide,
-    either way round; the targets share one size ``n``.  With ``k`` the
-    larger size over the smaller, supplies and demands are integers in
-    units of the larger cloud's mass, so an optimal vertex ships each atom
-    of the larger cloud whole to one atom of the smaller, and repeating
-    the smaller cloud's atoms ``k`` times makes the pair an assignment
-    (for ``a.m < n`` solved from the target's side).  Equal sizes are
-    ``k = 1``, with permutation plans.
+    either way round; the sources share one size ``m`` and the targets one
+    size ``n``.  With ``k`` the larger size over the smaller, supplies and
+    demands are integers in units of the larger cloud's mass, so an optimal
+    vertex ships each atom of the larger cloud whole to one atom of the
+    smaller, and repeating the smaller cloud's atoms ``k`` times makes the
+    pair an assignment (for ``m < n`` solved from the target's side).
+    Equal sizes are ``k = 1``, with permutation plans.
 
-    The batch shares the cost blocks of ``cost_blocks`` and array-wide
-    bookkeeping; each plan and cost equals what a batch of that target
-    alone gives, bit for bit, because ``cdist``, the reduction and the cost
-    terms are computed entry by entry or per target, and each assignment
-    solve sees its own contiguous block.  A pair's block is reduced
-    (``_reduced``) unless ``k > 1`` or both clouds have repeated
+    Each row shares the cost blocks of ``cost_blocks``, and the batch one
+    tail of array-wide bookkeeping; each plan and cost equals what a batch
+    of that pair alone gives, bit for bit, because ``cdist``, the reduction
+    and the cost terms are computed entry by entry or per pair, and each
+    assignment solve sees its own contiguous block.  A pair's block is
+    reduced (``_reduced``) unless ``k > 1`` or both clouds have repeated
     coordinate values; its cost is still summed from the points.
 
     Raises:
         NumericalError: the squared distances of some pair overflow
             float64, or a plan misses its marginals beyond ``1e-9``.  Only
-            a batch of one shows its message: :func:`solve_row` re-solves.
+            a batch of one shows its message: the sweep solves again.
     """
-    m, n, count = a.m, targets[0].m, len(targets)
+    targets = [b for _, row in shares for b in row]
+    m, n, count = shares[0][0].m, targets[0].m, len(targets)
     k, small = max(m, n) // min(m, n), min(m, n)
-    lattice = a.has_repeated_coordinates
-    skip = np.array([k > 1 or (lattice and b.has_repeated_coordinates) for b in targets])
     hits = np.empty((count, max(m, n)), dtype=np.int64)  # larger atom -> smaller atom
-    stacked = np.concatenate([b.centered for b in targets])
-    for lo, hi, cost in cost_blocks(a.centered, stacked, [n] * count):
-        cost = _reduced(_finite(cost), n, skip[lo:hi])
-        if k > 1:  # the smaller cloud's atoms as columns, each k times
-            cost = np.repeat(cost if m > n else cost.swapaxes(1, 2), k, axis=2)
-        for t, b in enumerate(targets[lo:hi], lo):
-            _, cols = linear_sum_assignment(cost[t - lo])
-            if k == 1 and (a.duplicate_groups or b.duplicate_groups):
-                cols = _canonicalize_duplicate_ties(a, b, cols)
-            hits[t] = cols
+    t = 0
+    for a, row in shares:
+        lattice = a.has_repeated_coordinates
+        skip = np.array([k > 1 or (lattice and b.has_repeated_coordinates) for b in row])
+        stacked = np.concatenate([b.centered for b in row])
+        for lo, hi, cost in cost_blocks(a.centered, stacked, [n] * len(row)):
+            cost = _reduced(_finite(cost), n, skip[lo:hi])
+            if k > 1:  # the smaller cloud's atoms as columns, each k times
+                cost = np.repeat(cost if m > n else cost.swapaxes(1, 2), k, axis=2)
+            for block, b in zip(cost, row[lo:hi]):
+                _, cols = linear_sum_assignment(block)
+                if k == 1 and (a.duplicate_groups or b.duplicate_groups):
+                    cols = _canonicalize_duplicate_ties(a, b, cols)
+                hits[t] = cols
+                t += 1
+            del cost, block  # freed before the next block is made
     hits //= k
 
     # Each atom of the larger cloud ships one and the same mass whole, so
     # only the smaller cloud's sums can be off: hit counts times that mass.
     flat = hits + np.arange(0, count * small, small)[:, None]
     counts = np.bincount(flat.ravel(), minlength=count * small).reshape(count, small)
-    points = [b.points for b in targets]
+    points = np.concatenate([b.points for b in targets])
     weights = np.concatenate([b.weights for b in targets]).reshape(count, n)
+    # the sources' points and weights per pair; one row's broadcast
+    if len(shares) == 1:
+        sources, source_weights = shares[0][0].points[None], shares[0][0].weights[None]
+    else:
+        reps = [len(row) for _, row in shares]
+        sources, source_weights = (
+            np.repeat(np.array([getattr(a, name) for a, _ in shares]), reps, axis=0)
+            for name in ("points", "weights")
+        )
     if m >= n:  # the targets' column sums
-        x, y, mass = a.points, np.concatenate(points)[flat], a.weights
-        err = (0.0, np.abs(counts * mass[0] - weights).max())
-        rows, cols = [_freeze(np.arange(m, dtype=np.int64))] * count, hits
-    else:  # a's row sums; entries in (source, target) order, by a stable sort
-        x, y, mass = a.points[hits], np.concatenate(points).reshape(count, n, a.d), weights
-        err = (np.abs(counts * weights[:, :1] - a.weights).max(), 0.0)
-        cols = np.argsort(hits, axis=1, kind="stable")
-        rows = _freeze(np.take_along_axis(hits, cols, axis=1))
+        x, y, mass = sources, points[flat], source_weights
+        err = (0.0, np.abs(counts * mass[:, :1] - weights).max())
+    else:  # the sources' row sums
+        x = np.take_along_axis(sources, hits[:, :, None], axis=1)
+        y, mass = points.reshape(count, n, -1), weights
+        err = (np.abs(counts * weights[:, :1] - source_weights).max(), 0.0)
     if max(err) > MARGINAL_TOL:
         raise _marginal_error(*err, MARGINAL_TOL)
 
     costs = _cost_sums(mass, x, y)  # plan_cost's terms, one sum per pair
-    cols = _freeze(cols)
-    return [
-        (Coupling(rows[t], cols[t], (a if m >= n else b).weights, m, n,
-                  cols[t] if k == 1 else None), costs[t])
-        for t, b in enumerate(targets)
-    ]
+    mass = _freeze(np.broadcast_to(mass, hits.shape))
+    return PlanBatch(m, n, hits=_freeze(hits), mass=mass), costs
 
 
 def _marginal_constraints(ma: int, mb: int):
@@ -739,8 +839,9 @@ def _solve_lp(a: Cloud, b: Cloud) -> Coupling:
 
 def _path(a: Cloud, b: Cloud) -> Callable:
     """The exact solver for a pair of equal dimension.  Every solver maps
-    ``(a, targets)`` to ``(plan, cost)`` per target, for targets that share
-    ``b``'s solver and size."""
+    ``shares``, ``(a, targets)`` per row, to a ``PlanBatch`` and the costs
+    of its pairs, in pair order, for pairs that share ``(a, b)``'s solver
+    and sizes."""
     if a.d == 1:
         return _solve_1d
     if a.m == 1 or b.m == 1:
@@ -748,6 +849,11 @@ def _path(a: Cloud, b: Cloud) -> Callable:
     if a.is_uniform and b.is_uniform and (a.m % b.m == 0 or b.m % a.m == 0):
         return _solve_assignments
     return _solve_lp
+
+
+def _solve_pair(a: Cloud, b: Cloud) -> tuple[PlanBatch, list]:
+    """``(a, b)`` solved as a batch of one through ``_path``'s solver."""
+    return _path(a, b)([(a, [b])])
 
 
 def solve_ot(a: Cloud, b: Cloud) -> Coupling:
@@ -765,13 +871,13 @@ def solve_ot(a: Cloud, b: Cloud) -> Coupling:
             marginal feasibility beyond ``1e-9`` (solver failure).
     """
     check_dimensions([a, b])
-    return _path(a, b)(a, [b])[0][0]
+    return _solve_pair(a, b)[0].coupling(0)
 
 
 def w2_squared(a: Cloud, b: Cloud) -> float:
     """Squared 2-Wasserstein distance: the cost of ``solve_ot``'s plan."""
     check_dimensions([a, b])
-    return _path(a, b)(a, [b])[0][1]
+    return _solve_pair(a, b)[1][0]
 
 
 def w2(a: Cloud, b: Cloud) -> float:
@@ -817,60 +923,108 @@ def check_row_sums(sums: np.ndarray, weights: np.ndarray) -> None:
         )
 
 
-def _stack_permutations(plans: Sequence[Coupling]):
-    """The permutations of a batch as ``(count, m)`` rows beside the batch
-    index of each row, or ``None`` unless every plan is a permutation."""
-    if not all(plan.permutation is not None for plan in plans):
-        return None
-    return np.array([plan.permutation for plan in plans]), np.arange(len(plans))[:, None]
+def stacked_rows(arrays: list) -> np.ndarray:
+    """``np.array(arrays)``; a single array is taken as a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 def barycentric_maps(
-    plans: Sequence[Coupling], a: Cloud, targets: Sequence[Cloud], points: np.ndarray
+    plans: PlanBatch, a: Cloud, targets: Sequence[Cloud], points: np.ndarray
 ) -> np.ndarray:
-    """``barycentric_map(plan, a, b)`` for each plan of a batch from ``a``
-    to targets of one size, stacked ``(count, a.m, d)``, bit for bit;
-    ``points`` stacks the targets' points, ``(count, n, d)``.  A batch of
-    permutation plans, whose row sums are their masses, checks them across
-    the batch and gathers every image from ``points`` at once; any other
-    batch is mapped plan by plan.
+    """``barycentric_map(plans.coupling(t), a, targets[t])`` for each plan of
+    a batch from ``a``, stacked ``(count, a.m, d)``, bit for bit; ``points``
+    stacks the targets' points, ``(count, n, d)``.  A batch of permutation
+    plans, whose row sums are their masses, gathers every image from
+    ``points`` at once; any other batch scatters every plan's entries with
+    one ``np.add.at``, in each plan's own entry order.  The row sums are
+    checked across the batch; a batch that mixes permutation plans with
+    others is mapped plan by plan.
 
     Raises:
         MarginalMismatch: as ``barycentric_map``.
     """
-    stacked = _stack_permutations(plans)
-    if stacked is None:
-        return np.array([barycentric_map(plan, a, b) for plan, b in zip(plans, targets)])
-    sigma, batch = stacked
-    check_row_sums(np.array([plan.mass for plan in plans]), a.weights)
-    return points[batch, sigma]
+    stacked = plans.permutations
+    if stacked is not None:
+        sigma, mass = stacked
+        check_row_sums(mass, a.weights)
+        return points[np.arange(len(sigma))[:, None], sigma]
+    if plans.mixed:
+        return np.array([barycentric_map(plans.coupling(t), a, b)
+                         for t, b in enumerate(targets)])
+    at_source, at_target, _, mass = plans.entries
+    images = points.reshape(-1, a.d)[at_target]
+    return _scatter(at_source, mass, images, a.weights, len(plans))
 
 
 def transposed_maps(
-    plans: Sequence[Coupling], a: Cloud, targets: Sequence[Cloud]
+    plans: PlanBatch, a: Cloud, targets: Sequence[Cloud]
 ) -> np.ndarray:
-    """``barycentric_map(plan.transpose(), b, a)`` for each plan of a batch
-    from ``a`` to targets of one size, stacked ``(count, n, d)``, bit for
-    bit.  A batch of permutation plans takes its inverse permutations and
-    the transposes' row sums from one scatter each, checks those sums
-    across the batch and gathers every image from ``a`` at once; any other
-    batch is transposed and mapped plan by plan.
+    """``barycentric_map(plans.coupling(t).transpose(), targets[t], a)``
+    for each plan of a batch from ``a`` to targets of one size, stacked
+    ``(count, n, d)``, bit for bit.  A batch of permutation plans takes its
+    inverse permutations and the transposes' row sums from one scatter
+    each and gathers every image from ``a`` at once; any other batch sorts
+    every plan's entries by ``(target, source)``, as ``Coupling.transpose``
+    does, and scatters them with one ``np.add.at``.  The row sums are
+    checked across the batch; a mixed batch is mapped plan by plan.
 
     Raises:
         MarginalMismatch: as ``barycentric_map``.
     """
-    stacked = _stack_permutations(plans)
-    if stacked is None:
-        return np.array([
-            barycentric_map(plan.transpose(), b, a) for plan, b in zip(plans, targets)
-        ])
-    sigma, batch = stacked
-    inverse = np.empty_like(sigma)
-    inverse[batch, sigma] = np.arange(a.m)
-    sums = np.empty(sigma.shape)
-    sums[batch, sigma] = np.array([plan.mass for plan in plans])
-    check_row_sums(sums, np.array([b.weights for b in targets]))
-    return a.points[inverse]
+    stacked = plans.permutations
+    weights = stacked_rows([b.weights for b in targets])
+    if stacked is not None:
+        sigma, mass = stacked
+        batch = np.arange(len(sigma))[:, None]
+        inverse = np.empty_like(sigma)
+        inverse[batch, sigma] = np.arange(a.m)
+        sums = np.empty(sigma.shape)
+        sums[batch, sigma] = mass
+        check_row_sums(sums, weights)
+        return a.points[inverse]
+    if plans.mixed:
+        return np.array([barycentric_map(plans.coupling(t).transpose(), b, a)
+                         for t, b in enumerate(targets)])
+    _, at_target, rows, mass = plans.entries
+    order = np.argsort(at_target, kind="stable")  # by (target, source) in each plan
+    return _scatter(at_target[order], mass[order], a.points[rows[order]], weights, len(plans))
+
+
+def _scatter(at: np.ndarray, mass: np.ndarray, images: np.ndarray, weights: np.ndarray,
+             count: int) -> np.ndarray:
+    """``barycentric_map``'s sum over a batch of ``count`` plans: each
+    entry's ``mass`` times its image added at row ``at`` (flat over the
+    batch), in entry order from zero, then each row divided by its
+    ``weights`` (``(size,)`` for every plan, or ``(count, size)``), after
+    ``check_row_sums`` of the same sums of masses."""
+    size = weights.shape[-1]
+    check_row_sums(np.bincount(at, mass, count * size).reshape(count, size), weights)
+    out = np.zeros((count * size, images.shape[-1]))
+    np.add.at(out, at, mass[:, None] * images)
+    out = out.reshape(count, size, -1)
+    out /= weights[..., None]
+    return out
+
+
+def batch_costs(plans: PlanBatch, sources: np.ndarray, targets: Sequence[Cloud]) -> list:
+    """``plan_costs(plans.coupling(t), sources, targets[t])`` for each plan
+    of a batch, bit for bit: ``sources`` stacks source points ``(Q, m, d)``.
+    Stacked assignment plans are costed with one gather for the batch.
+
+    Raises:
+        NumericalError: as ``plan_costs``.
+    """
+    if plans.hits is None:
+        return [plan_costs(plan, sources, b) for plan, b in zip(plans.couplings, targets)]
+    count, q = len(plans), len(sources)
+    points = stacked_rows([b.points for b in targets])  # (count, n, d)
+    hits = plans.hits[:, None, :, None]
+    if plans.source_size >= plans.target_size:
+        x, y = sources[None], np.take_along_axis(points[:, None], hits, axis=2)
+    else:
+        x, y = np.take_along_axis(sources[None], hits, axis=2), points[:, None]
+    costs = _cost_sums(plans.mass[:, None], x, y)
+    return [costs[t * q:(t + 1) * q] for t in range(count)]
 
 
 def check_threads(threads: int) -> int:
@@ -911,37 +1065,117 @@ def check_dimensions(clouds: Sequence[Cloud]) -> None:
             )
 
 
-def _row(
-    a: Cloud, targets: list[Cloud], step: Callable, threads: int, label: Callable
-) -> list:
-    """:func:`row_batches`' work and failure rule, naming target ``k`` as
-    ``label(k)``."""
+def _schedule(rows: Sequence[tuple[Cloud, Sequence[Cloud]]]) -> list:
+    """The work of a sweep over ``rows``, ``(a, targets)`` each, planned
+    before any solve: ``_path`` runs once per pair.
 
-    def run(unit: list[int]) -> tuple:
-        batch = [targets[k] for k in unit]
-        plans, costs = zip(*_path(a, batch[0])(a, batch))
-        return unit, step(plans, costs, a, batch)
+    Returns the units in the order they run, each ``(solve, shares)``: a
+    solver and ``(r, ks)`` per row ``r`` it covers, in row order, where
+    ``ks`` are the ascending indices of the row's targets that take
+    ``solve`` and share one size.  Each ``(solver, source size, target
+    size)`` group is cut into units of whole rows in row order: a unit
+    takes the group's share of each row and closes once it holds at least
+    ``_BLOCK_ENTRIES`` cost entries.  Units run in the order of their first
+    row, groups in the order they first appear.
+    """
+    groups: dict[tuple, list] = {}
+    for r, (a, targets) in enumerate(rows):
+        row: dict[tuple, list[int]] = {}
+        for k, b in enumerate(targets):
+            row.setdefault((_path(a, b), a.m, b.m), []).append(k)
+        for key, ks in row.items():
+            groups.setdefault(key, []).append((r, ks))
+    units = []
+    for (solve, m, n), shares in groups.items():
+        entries, start = 0, 0
+        for end, (_, ks) in enumerate(shares, 1):
+            entries += m * n * len(ks)
+            if entries >= _BLOCK_ENTRIES or end == len(shares):
+                units.append((solve, shares[start:end]))
+                entries, start = 0, end
+    units.sort(key=lambda unit: unit[1][0][0])  # stable: group order kept
+    return units
 
-    groups: dict[tuple, list[int]] = {}  # the targets, by solver and size
-    for k, b in enumerate(targets):
-        groups.setdefault((_path(a, b), b.m), []).append(k)
-    units = [ks[u::threads] for ks in groups.values() for u in range(min(len(ks), threads))]
-    try:  # in the order of ``units`` for any thread count
-        if threads > 1 and len(units) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(run, units))
-        return [run(unit) for unit in units]
-    except Exception:
-        pass  # solved again pair by pair below
-    outs = []
-    for k in range(len(targets)):
-        try:
-            outs.append(run([k]))
-        except WsdError as exc:
-            raise type(exc)(f"{label(k)}: {exc}") from exc
-        except Exception as exc:  # foreign, e.g. from SciPy
-            raise NumericalError(f"{label(k)}: {exc}") from exc
-    return outs
+
+def _parts(shares: list, threads: int) -> list:
+    """``shares`` cut into up to ``threads`` strided parts of its pairs,
+    taken in row-major order."""
+    if threads == 1:
+        return [shares]
+    pairs = [(r, k) for r, ks in shares for k in ks]
+    parts = []
+    for u in range(min(threads, len(pairs))):
+        part: dict[int, list[int]] = {}
+        for r, k in pairs[u::threads]:
+            part.setdefault(r, []).append(k)
+        parts.append(list(part.items()))
+    return parts
+
+
+def _sweep(rows: list, step: Callable, threads: int, label: Callable):
+    """Yields ``(r, [(ks, step(plans, costs, a, batch)), ...])`` for each row
+    ``r`` of ``rows``, ``(a, targets)`` each, in ascending order, solved by
+    the units of ``_schedule``.  A row is yielded once every unit that
+    covers it has run, and its outputs are dropped then.
+
+    One failure rule: if a unit or its step raises, every row not yet
+    yielded is solved again pair by pair, in row-major order, and the first
+    pair that fails there raises, named ``label(r, k)``.
+    """
+
+    def run(solve: Callable, shares: list) -> list:
+        batches = [(r, ks, rows[r][0], [rows[r][1][k] for k in ks]) for r, ks in shares]
+        plans, costs = solve([(a, batch) for _, _, a, batch in batches])
+        if len(batches) == 1:
+            r, ks, a, batch = batches[0]
+            return [(r, ks, step(plans, costs, a, batch))]
+        done, lo = [], 0
+        for r, ks, a, batch in batches:
+            hi = lo + len(ks)
+            done.append((r, ks, step(plans[lo:hi], costs[lo:hi], a, batch)))
+            lo = hi
+        return done
+
+    def execute(pool: ThreadPoolExecutor, solve: Callable, shares: list) -> None:
+        """Runs one unit, its parts on ``pool``, and files each row's
+        outputs in ``outs``, in the order of the parts."""
+        parts = _parts(shares, threads)
+        if len(parts) == 1:
+            results = [run(solve, shares)]
+        else:
+            futures = [pool.submit(run, solve, part) for part in parts]
+            wait(futures)
+            results = [future.result() for future in futures]
+        for done in results:
+            for r, ks, out in done:
+                outs.setdefault(r, []).append((ks, out))
+
+    units = _schedule(rows)
+    outs: dict[int, list] = {}
+    ready = 0  # rows before this one have been yielded
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for u, (solve, shares) in enumerate(units):
+            try:
+                execute(pool, solve, shares)
+            except Exception:
+                break  # solved again pair by pair below
+            end = units[u + 1][1][0][0] if u + 1 < len(units) else len(rows)
+            for r in range(ready, end):
+                yield r, outs.pop(r, [])
+            ready = end
+    outs.clear()
+    for r in range(ready, len(rows)):
+        a, targets = rows[r]
+        done = []
+        for k, b in enumerate(targets):
+            try:
+                plans, costs = _solve_pair(a, b)
+                done.append(([k], step(plans, costs, a, [b])))
+            except WsdError as exc:
+                raise type(exc)(f"{label(r, k)}: {exc}") from exc
+            except Exception as exc:  # foreign, e.g. from SciPy
+                raise NumericalError(f"{label(r, k)}: {exc}") from exc
+        yield r, done
 
 
 def row_batches(
@@ -949,15 +1183,17 @@ def row_batches(
 ) -> list:
     """``(ks, step(plans, costs, a, batch))`` per batch of the row from
     ``a``, where ``batch`` is the targets ``ks`` (ascending indices into
-    ``targets``), which share one solver and one size, and ``plans`` and
-    ``costs`` are their optimal plans and squared ``w2``, exactly as
+    ``targets``), which share one solver and one size, ``plans`` is their
+    ``PlanBatch`` and ``costs`` their squared ``w2``, exactly as
     ``solve_ot`` and ``plan_cost`` give them.
 
-    The targets are cut into up to ``threads`` batches per solver and size;
-    on the assignment path (uniform, with a size that divides ``a.m`` or
-    that ``a.m`` divides) a batch shares its cost blocks.  Every plan and
-    cost is independent of the thread count; which targets share a batch
-    is not.
+    The row is a schedule of one row (``_schedule``): its targets are
+    grouped by solver and size, and each group is solved as one unit, cut
+    into up to ``threads`` strided parts; on the assignment path (uniform,
+    with a size that divides ``a.m`` or that ``a.m`` divides) a unit shares
+    its cost blocks and one tail of bookkeeping, and returns its plans
+    stacked.  Every plan and cost is independent of the thread count;
+    which targets share a batch is not.
 
     One failure rule: if any solve or ``step`` raises, the row is solved
     again pair by pair in target order, as batches of one, which gives the
@@ -976,15 +1212,17 @@ def row_batches(
     targets = cloud_list(targets)
     threads = check_threads(threads)
     check_dimensions([a] + targets)
-    return _row(a, targets, step, threads, "target {}".format)
+    [(_, batches)] = _sweep([(a, targets)], step, threads, lambda r, k: f"target {k}")
+    return batches
 
 
 def _pairwise(step: Callable) -> Callable:
     """The per-pair ``step(plan, cost, a, b)`` as a batch step: one output
-    per target of the batch."""
+    per target of the batch, each plan handed over as a ``Coupling``."""
 
-    def batch(plans, costs, a: Cloud, targets: list[Cloud]) -> list:
-        return [step(plan, cost, a, b) for plan, cost, b in zip(plans, costs, targets)]
+    def batch(plans: PlanBatch, costs, a: Cloud, targets: list[Cloud]) -> list:
+        return [step(plans.coupling(t), cost, a, b)
+                for t, (cost, b) in enumerate(zip(costs, targets))]
 
     return batch
 
@@ -1014,28 +1252,37 @@ def solve_row(
 
 
 def sweep_batches(clouds: Sequence[Cloud], step: Callable, *, threads: int = 1):
-    """Solve every unordered pair of clouds once, row by row.
+    """Solve every unordered pair of clouds once, in rows.
 
-    Yields ``(i, row_batches(clouds[i], clouds[i + 1:], step))`` for each
-    ``i`` in ascending order, so target ``k`` of row ``i`` is cloud
-    ``i + 1 + k``.  Each row is solved, batched and failed as in
-    :func:`row_batches`; only ``step``'s outputs are kept, and only until
-    the row has been yielded.
+    Yields ``(i, batches)`` for each ``i`` in ascending order, where
+    ``batches`` are ``row_batches(clouds[i], clouds[i + 1:], step)``'s
+    batches, so target ``k`` of row ``i`` is cloud ``i + 1 + k``.  The
+    sweep is planned before any solve (``_schedule``): each group of pairs
+    that share a solver and both sizes is cut into units of whole rows,
+    which close once they hold ``_BLOCK_ENTRIES`` cost entries, so many
+    small rows share one unit and its one tail of bookkeeping, and large
+    rows stay units of their own.  A unit is cut into up to ``threads``
+    strided parts.  Only ``step``'s outputs are kept, and only until their
+    row has been yielded.
+
+    One failure rule: if a unit or its step raises, every row not yet
+    yielded is solved again pair by pair in row-major order, so the pair
+    named is the first failing pair in row-major order for any thread
+    count, and the rows before it are yielded first.
 
     Raises:
         InvalidParameter: ``threads`` not an integer >= 1, before any solve.
         InvalidCloud: an item is not a ``Cloud``, or ``clouds`` cannot be
             iterated, before any solve.
         DimensionMismatch: clouds of different dimensions, before any solve.
-        WsdError: the first failing pair of the first failing row, named as
-            ``clouds (i, j)`` and typed as in :func:`row_batches`.
+        WsdError: the first failing pair, named as ``clouds (i, j)`` and
+            typed as in :func:`row_batches`.
     """
     clouds = cloud_list(clouds)
     threads = check_threads(threads)
     check_dimensions(clouds)
-    for i in range(len(clouds)):
-        yield i, _row(clouds[i], clouds[i + 1:], step, threads,
-                      lambda k: f"clouds ({i}, {i + 1 + k})")
+    rows = [(c, clouds[i + 1:]) for i, c in enumerate(clouds)]
+    yield from _sweep(rows, step, threads, lambda i, k: f"clouds ({i}, {i + 1 + k})")
 
 
 def pair_sweep(clouds: Sequence[Cloud], step: Callable, *, threads: int = 1):
@@ -1062,8 +1309,9 @@ def _costs(plans, costs, a: Cloud, targets: list[Cloud]):
 def w2_matrix(clouds: Sequence[Cloud], *, threads: int = 1) -> np.ndarray:
     """Symmetric matrix of pairwise ``w2`` values, each pair solved once.
 
-    Only distances are kept: each plan is dropped once its cost is known.
-    The result is identical for any thread count.
+    Only distances are kept: no plan is turned into a ``Coupling``, and
+    each batch of plans is dropped once its costs are known.  The result
+    is identical for any thread count.
     """
     clouds = cloud_list(clouds)
     out = np.zeros((len(clouds), len(clouds)))

@@ -846,13 +846,13 @@ def test_only_the_other_queries_of_a_family_are_costed(path, rng, monkeypatch):
         Cloud(s * first.points + 1.0, first.weights) for s in (2.0, 0.5, 3.0)
     ]
     calls = []
-    real = wsdepth.depth.plan_costs
+    real = wsdepth.depth.batch_costs
 
-    def counted(plan, points, b):
-        calls.append(len(points))
-        return real(plan, points, b)
+    def counted(plans, points, targets):
+        calls.extend([len(points)] * len(plans))
+        return real(plans, points, targets)
 
-    monkeypatch.setattr(wsdepth.depth, "plan_costs", counted)
+    monkeypatch.setattr(wsdepth.depth, "batch_costs", counted)
     wsd_empirical(first, pop)
     wsd_discrete(first, pop)
     assert calls == []

@@ -32,11 +32,14 @@ from wsdepth import (
 import wsdepth.depth
 import wsdepth.ot_core
 from wsdepth.ot_core import (
+    PlanBatch,
     barycentric_maps,
+    batch_costs,
     cost_blocks,
     cost_matrix,
     plan_cost,
     plan_costs,
+    row_batches,
     solve_row,
     transposed_maps,
 )
@@ -415,14 +418,28 @@ def test_batch_images_equal_per_plan_maps_bitwise(kind, rng):
     }[kind]()
     plans = [solve_ot(a, b) for b in targets]
     points = np.stack([b.points for b in targets])
-    got = barycentric_maps(plans, a, targets, points)
-    want = np.stack([barycentric_map(plan, a, b) for plan, b in zip(plans, targets)])
-    assert got.tobytes() == want.tobytes() and got.shape == want.shape
-    got = transposed_maps(plans, a, targets)
-    want = np.stack([
-        barycentric_map(plan.transpose(), b, a) for plan, b in zip(plans, targets)
-    ])
-    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+    # the plans as couplings, and as the row's solver batches them: stacked
+    # on the assignment path
+    batches = [PlanBatch(a.m, targets[0].m, tuple(plans))]
+    if kind != "mixed":
+        [(_, solved)] = row_batches(a, targets, lambda plans, *rest: plans)
+        batches.append(solved)
+    for batch in batches:
+        assert len(batch) == len(plans)
+        for t, plan in enumerate(plans):
+            _assert_same_plan(batch.coupling(t), plan)
+        got = barycentric_maps(batch, a, targets, points)
+        want = np.stack([barycentric_map(plan, a, b) for plan, b in zip(plans, targets)])
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        got = transposed_maps(batch, a, targets)
+        want = np.stack([
+            barycentric_map(plan.transpose(), b, a) for plan, b in zip(plans, targets)
+        ])
+        assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        sources = np.stack([a.points, 2.0 * a.points + 1.0])
+        got = batch_costs(batch, sources, targets)
+        want = [plan_costs(plan, sources, b) for plan, b in zip(plans, targets)]
+        assert [[c.hex() for c in row] for row in got] == [[c.hex() for c in row] for row in want]
 
 
 def test_batch_images_check_row_sums_across_the_batch(rng):
@@ -431,17 +448,24 @@ def test_batch_images_check_row_sums_across_the_batch(rng):
     plans = [solve_ot(a, b) for b in targets]
     off = Coupling.from_permutation(plans[1].permutation, a.weights * [1.0, 1.0, 1.01, 0.99])
     points = np.stack([b.points for b in targets])
-    for run, alone in (
-        (lambda ps: barycentric_maps(ps, a, targets, points),
-         lambda: barycentric_map(off, a, targets[1])),
-        (lambda ps: transposed_maps(ps, a, targets),
-         lambda: barycentric_map(off.transpose(), targets[1], a)),
+    sigma = np.array([plan.permutation for plan in plans])
+    mass = np.array([plans[0].mass, off.mass, plans[2].mass])
+    for batch, good in (
+        (PlanBatch(4, 4, (plans[0], off, plans[2])), PlanBatch(4, 4, tuple(plans))),
+        (PlanBatch(4, 4, hits=sigma, mass=mass),
+         PlanBatch(4, 4, hits=sigma, mass=np.array([plan.mass for plan in plans]))),
     ):
-        with pytest.raises(MarginalMismatch) as want:
-            alone()
-        with pytest.raises(MarginalMismatch, match=f"^{want.value}$"):
-            run([plans[0], off, plans[2]])
-        run(plans)
+        for run, alone in (
+            (lambda ps: barycentric_maps(ps, a, targets, points),
+             lambda: barycentric_map(off, a, targets[1])),
+            (lambda ps: transposed_maps(ps, a, targets),
+             lambda: barycentric_map(off.transpose(), targets[1], a)),
+        ):
+            with pytest.raises(MarginalMismatch) as want:
+                alone()
+            with pytest.raises(MarginalMismatch, match=f"^{want.value}$"):
+                run(batch)
+            run(good)
 
 
 @pytest.mark.parametrize(
@@ -538,19 +562,19 @@ def test_pair_failures_are_typed_and_name_the_pair(raised, expected, rng, monkey
     pair, single = r"clouds \(0, 1\)", "target 0"
     # the solve under the sweep and under single queries, on the LP and the
     # assignment solver, and the image step, which runs after the pair's
-    # solve and cost: the batch-wide row-sum check of permutation plans, and
-    # the per-plan map of any other
+    # solve and cost: the batch-wide row-sum check of permutation plans and
+    # of the scattered LP plans
     for module, name, run, collection, where in [
         (wsdepth.ot_core, "_solve_lp", w2_matrix, ragged, pair),
         (wsdepth.ot_core, "_solve_assignments", w2_matrix, clouds, pair),
         (wsdepth.ot_core, "check_row_sums", wsd_all, clouds, pair),
-        (wsdepth.ot_core, "barycentric_map", wsd_all, ragged, pair),
+        (wsdepth.ot_core, "check_row_sums", wsd_all, ragged, pair),
         (wsdepth.ot_core, "_solve_lp", empirical, ragged, single),
         (wsdepth.ot_core, "_solve_assignments", empirical, clouds, single),
         (wsdepth.ot_core, "check_row_sums", empirical, clouds, single),
         (wsdepth.ot_core, "_solve_lp", discrete, ragged, single),
         (wsdepth.ot_core, "_solve_assignments", discrete, clouds, single),
-        (wsdepth.ot_core, "barycentric_map", discrete, ragged, single),
+        (wsdepth.ot_core, "check_row_sums", discrete, ragged, single),
     ]:
         with monkeypatch.context() as patch:
             patch.setattr(module, name, fail)
@@ -1001,6 +1025,12 @@ def assignment_pairs(draw, spacings, partners):
     return [Cloud(points * scale) for points in pair]
 
 
+def _assign(a, b):
+    """The assignment solver's plan and cost for the pair alone."""
+    plans, [cost] = wsdepth.ot_core._solve_assignments([(a, [b])])
+    return plans.coupling(0), cost
+
+
 @settings(max_examples=200, deadline=None)
 @given(pair=assignment_pairs(st.sampled_from([1e-8, 1e-6, 1e-4, 1e-2, 1.0]),
                              ["generic", "lattice"]))
@@ -1011,7 +1041,7 @@ def test_reduced_solve_keeps_the_unreduced_permutation(pair):
         gaps = gaps[gaps > 0]
         assume(not gaps.size or gaps.min() >= (1e-9 * np.abs(cloud.points).max()) ** 2)
     assert not (a.has_repeated_coordinates and b.has_repeated_coordinates)
-    (plan, _), = wsdepth.ot_core._solve_assignments(a, [b])
+    plan, _ = _assign(a, b)
     assert plan.permutation.tolist() == _unreduced_permutation(a, b).tolist()
 
 
@@ -1032,7 +1062,7 @@ def test_reduced_solve_keeps_the_unreduced_permutation(pair):
 ))
 def test_reduced_solve_of_near_duplicates_is_optimal_to_rounding(pair):
     a, b = pair
-    (plan, cost), = wsdepth.ot_core._solve_assignments(a, [b])
+    plan, cost = _assign(a, b)
     want = plan_cost(Coupling.from_permutation(_unreduced_permutation(a, b), a.weights),
                      a, b)
     assert cost == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -1044,7 +1074,7 @@ def test_poisson_pairs_solve_the_unreduced_block():
     rng = np.random.default_rng(0)
     a, b = (Cloud(rng.poisson(3.0, size=(50, 5)).astype(float)) for _ in range(2))
     assert a.has_repeated_coordinates and b.has_repeated_coordinates
-    (plan, _), = wsdepth.ot_core._solve_assignments(a, [b])
+    plan, _ = _assign(a, b)
     assert plan.permutation.tolist() == _unreduced_permutation(a, b).tolist()
 
 
@@ -1105,6 +1135,12 @@ def _per_pair(a, b):
     return plan, plan_cost(plan, a, b)
 
 
+def _per_pair_batch(shares):
+    """``_per_pair`` over a unit's pairs, as a batch of couplings."""
+    plans, costs = zip(*[_per_pair(a, b) for a, targets in shares for b in targets])
+    return PlanBatch(plans[0].source_size, plans[0].target_size, plans), list(costs)
+
+
 def _near_duplicates(points, rng):
     """``points``, then each atom again one ulp up or down in every
     coordinate."""
@@ -1152,8 +1188,7 @@ def _row_outputs(clouds, threads):
 def test_row_path_matches_per_pair_solves_bitwise(kind, rng, monkeypatch):
     clouds = _row_collection(kind, rng)
     with monkeypatch.context() as patch:
-        patch.setattr(wsdepth.ot_core, "_solve_assignments",
-                      lambda a, targets: [_per_pair(a, b) for b in targets])
+        patch.setattr(wsdepth.ot_core, "_solve_assignments", _per_pair_batch)
         want = _row_outputs(clouds, 1)
         plans = [solve_ot(a, b) for a in clouds for b in clouds]
     # the default block, blocks of one target each, and of up to three
@@ -1210,11 +1245,12 @@ def test_a_failed_batch_is_solved_again_pair_by_pair(kind, rng, monkeypatch):
     want = {threads: outputs(threads) for threads in (1, 2, 3)}
     batch, failed = wsdepth.ot_core._solve_assignments, []
 
-    def alone_only(a, targets):
-        if len(targets) > 1:
-            failed.append(len(targets))
+    def alone_only(shares):
+        count = sum(len(targets) for _, targets in shares)
+        if count > 1:
+            failed.append(count)
             raise MemoryError("batch too large")
-        return batch(a, targets)
+        return batch(shares)
 
     monkeypatch.setattr(wsdepth.ot_core, "_solve_assignments", alone_only)
     for threads in (1, 2, 3):
@@ -1222,6 +1258,144 @@ def test_a_failed_batch_is_solved_again_pair_by_pair(kind, rng, monkeypatch):
         # batches did fail; at three threads the mixed rows hold batches of one
         assert failed or (kind, threads) == ("mixed-size", 3)
         failed.clear()
+
+
+_SOLVERS = ("_solve_1d", "_solve_point_mass", "_solve_assignments", "_solve_lp")
+
+
+def _counting_solvers(monkeypatch) -> dict:
+    """Pairs solved per solver, counted through the four solvers that
+    ``conftest.refuse_solves`` names."""
+    counts = dict.fromkeys(_SOLVERS, 0)
+    for name in _SOLVERS:
+        def counted(shares, name=name, solve=getattr(wsdepth.ot_core, name)):
+            counts[name] += sum(len(targets) for _, targets in shares)
+            return solve(shares)
+
+        monkeypatch.setattr(wsdepth.ot_core, name, counted)
+    return counts
+
+
+def _scheduled(rows) -> dict:
+    """Pairs per solver in ``_schedule(rows)``."""
+    names = {getattr(wsdepth.ot_core, name): name for name in _SOLVERS}
+    counts = dict.fromkeys(_SOLVERS, 0)
+    for solve, shares in wsdepth.ot_core._schedule(rows):
+        counts[names[solve]] += sum(len(ks) for _, ks in shares)
+    return counts
+
+
+def _sweep_rows(clouds):
+    return [(c, clouds[i + 1:]) for i, c in enumerate(clouds)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_the_schedule_counts_the_solves_that_run(threads, rng, monkeypatch):
+    flat = [make_cloud(rng, m, 2) for m in (6, 6, 3, 12, 1, 6, 7, 2, 1, 6)]
+    flat.insert(3, make_cloud(rng, 6, 2, uniform=False))
+    line = [make_cloud(rng, m, 1, uniform=m != 4) for m in (5, 5, 4, 7)]
+    counts = _counting_solvers(monkeypatch)
+    for clouds in (flat, line):
+        want = _scheduled(_sweep_rows(clouds))
+        assert sum(want.values()) == len(clouds) * (len(clouds) - 1) // 2
+        for run in (lambda: w2_matrix(clouds, threads=threads),
+                    lambda: wsd_all(clouds, threads=threads)):
+            run()
+            assert counts == want
+            counts.update(dict.fromkeys(_SOLVERS, 0))
+        wsd_empirical(clouds[0], clouds[1:], threads=threads)
+        assert counts == _scheduled([(clouds[0], clouds[1:])])
+        counts.update(dict.fromkeys(_SOLVERS, 0))
+    want = _scheduled(_sweep_rows(flat))
+    assert all(want[name] for name in _SOLVERS if name != "_solve_1d")
+
+
+@pytest.mark.parametrize("m, count", [(20, 40), (100, 26), (6, 9)])
+def test_the_schedule_cuts_groups_into_units_of_whole_rows(m, count, rng):
+    clouds = [make_cloud(rng, m, 3) for _ in range(count)]
+    if m != 20:  # an LP group beside the assignment group
+        clouds[count // 2] = make_cloud(rng, m, 3, uniform=False)
+    rows = _sweep_rows(clouds)
+    units = wsdepth.ot_core._schedule(rows)
+    budget = wsdepth.ot_core._BLOCK_ENTRIES
+    firsts = [shares[0][0] for _, shares in units]
+    assert firsts == sorted(firsts)
+    by_group: dict = {}
+    for solve, shares in units:
+        sizes = {(rows[r][0].m, rows[r][1][k].m) for r, ks in shares for k in ks}
+        assert len(sizes) == 1
+        entries = [m * m * len(ks) for _, ks in shares]
+        by_group.setdefault((solve, *sizes), []).append((shares, entries))
+    for cuts in by_group.values():
+        shares = [share for unit, _ in cuts for share in unit]
+        assert [r for r, _ in shares] == sorted({r for r, _ in shares})  # whole rows, in order
+        for _, entries in cuts[:-1]:  # each unit closes once it holds the budget
+            assert sum(entries) >= budget > sum(entries[:-1])
+        assert sum(cuts[-1][1][:-1]) < budget
+    pairs = [(r, rows[r][1][k]) for _, shares in units for r, ks in shares for k in ks]
+    assert len(pairs) == count * (count - 1) // 2
+    assign = [shares for solve, shares in units if solve is wsdepth.ot_core._solve_assignments]
+    if m == 100:  # rows of four or more assignment pairs stay units of their own
+        assert all(len(shares) == 1 for shares in assign if len(shares[0][1]) >= 4)
+        assert any(len(shares) > 1 for shares in assign)  # the last, smallest rows merge
+    if m == 20:  # the 39 rows share 9 units
+        assert len(assign) == 9
+
+
+def _failing_pairs(monkeypatch, pairs):
+    """Makes the assignment and LP solvers raise on a unit that holds one of
+    ``pairs`` (clouds ``(a, b)``), after the pairs before it have been
+    solved, as a failing pair would."""
+    for name in ("_solve_assignments", "_solve_lp"):
+        def failing(shares, solve=getattr(wsdepth.ot_core, name)):
+            for a, targets in shares:
+                for b in targets:
+                    if any(a is x and b is y for x, y in pairs):
+                        raise NumericalError("planted failure")
+            return solve(shares)
+
+        monkeypatch.setattr(wsdepth.ot_core, name, failing)
+
+
+def _failure_collection(rng):
+    """Eight clouds of 4 points: cloud 2 is weighted, so row 0 holds one LP
+    pair after its assignment pairs, and the assignment group is one unit
+    over rows 0 to 6 (row 2 is all LP)."""
+    clouds = [make_cloud(rng, 4, 2) for _ in range(8)]
+    clouds[2] = make_cloud(rng, 4, 2, uniform=False)
+    units = wsdepth.ot_core._schedule(_sweep_rows(clouds))
+    assign, lp = (shares for _, shares in units)
+    assert units[0][0] is wsdepth.ot_core._solve_assignments
+    assert [r for r, _ in assign] == [0, 1, 3, 4, 5, 6] and lp[0][0] == 0
+    return clouds
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_the_first_failing_pair_in_row_major_order_is_named(threads, rng, monkeypatch):
+    clouds = _failure_collection(rng)
+    # the LP pair (0, 2) fails, in a unit solved after the assignment unit,
+    # whose pair (3, 5) fails too
+    _failing_pairs(monkeypatch, [(clouds[0], clouds[2]), (clouds[3], clouds[5])])
+    for run in (lambda: w2_matrix(clouds, threads=threads),
+                lambda: wsd_all(clouds, threads=threads),
+                lambda: list(wsdepth.ot_core.pair_sweep(clouds, lambda *args: None,
+                                                        threads=threads))):
+        with pytest.raises(NumericalError, match=r"^clouds \(0, 2\): planted failure$"):
+            run()
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_pair_sweep_yields_the_rows_before_a_failing_pair(threads, rng, monkeypatch):
+    clouds = _failure_collection(rng)
+    want = [(i, j, w2(clouds[i], clouds[j])) for i in range(3) for j in range(i + 1, 8)]
+    _failing_pairs(monkeypatch, [(clouds[3], clouds[5])])
+    got = []
+    with pytest.raises(NumericalError, match=r"^clouds \(3, 5\): planted failure$"):
+        for i, j, cost in wsdepth.ot_core.pair_sweep(
+            clouds, lambda plan, cost, a, b: math.sqrt(cost), threads=threads
+        ):
+            got.append((i, j, cost))
+    assert got == want
 
 
 def _unique_groups(points):
