@@ -11,8 +11,10 @@ dispatch can pick: 1-D, point mass, reduced and unreduced assignment,
 replicated assignment both ways round (one pair of 400 -> 200 points), the
 ragged and the weighted transport LP, near-duplicate atoms, one d=2 case
 of 300 points, exact copies of clouds (pairs at transport distance
-zero, on the assignment path and on the LP), and 31 small clouds whose
-every solver group spans several rows of the sweep.  Every output is computed at
+zero, on the assignment path and on the LP), 31 small clouds whose
+every solver group spans several rows of the sweep, and seven clouds of 64
+points in d=3 at scales from 0.3 to 5, so that equal-size pairs occur with
+the wider cloud on either side.  Every output is computed at
 threads 1 and 2 and must give the same digests, recorded from a known-good
 build (x86-64 Linux, NumPy 2.4, SciPy 1.17).
 """
@@ -82,6 +84,19 @@ def _many_small(rng):
     return clouds + [Cloud(clouds[1].points)]
 
 
+def _spread_scales(rng):
+    """Seven clouds of 64 points in d=3 at scales from 0.3 to 5, in an order
+    where the wider cloud of a pair is the source of some pairs and the
+    target of others: five generic clouds, one lattice cloud and one with
+    an exactly duplicated atom."""
+    clouds = [rng.normal(size=(64, 3)) * s + rng.normal(size=3)
+              for s in (1.0, 0.3, 5.0, 2.0, 0.5)]
+    duplicated = rng.normal(size=(64, 3)) * 1.5
+    duplicated[-1] = duplicated[7]
+    lattice = np.round(rng.normal(size=(64, 3)) * 2.0)
+    return [Cloud(points) for points in clouds[:3] + [lattice] + clouds[3:] + [duplicated]]
+
+
 CASES = {
     "1-D": lambda rng: [_normal(rng, m, 1) for m in (7, 7, 9, 5)]
     + [_normal(rng, 6, 1, weighted=True)],
@@ -101,14 +116,17 @@ CASES = {
     "d2-300": lambda rng: [_normal(rng, 300, 2) for _ in range(3)],
     "copies": _copies,
     "many-small": _many_small,
+    "spread-scales": _spread_scales,
 }
 
 # Cases with a pair of clouds of d > 1 that both repeat a coordinate value.
 # Distinct atoms tie in cost there, the assignment block is not reduced, and
 # the digests pin SciPy's own tie-break among the optimal plans: a SciPy
 # upgrade that moves only these is the known dependence of ROADMAP item 5
-# (depth on lattice clouds depends on atom order), not a regression.
-TIE_EXPOSED = {"lattice"}
+# (depth on lattice clouds depends on atom order), not a regression.  In
+# "spread-scales" that pair is the lattice cloud against the cloud with a
+# duplicated atom.
+TIE_EXPOSED = {"lattice", "spread-scales"}
 
 
 @lru_cache(maxsize=None)
@@ -286,6 +304,18 @@ DIGESTS = {
         "metric_spatial": "29689c2ee0234ebed31a717de127307f5be8cf887b838619bc2ddaf2b0b16c30",
         "kernel_spatial": "ce5ab3468dbf6c6433d47e2ff45da629c79abc8e143c0c9336a168cacfde6c45",
         "competitor_queries": "ffac245950bc21fa13c6073d80f187ac3a3ae40fe001f47cac5f6f158af2d287",
+    },
+    "spread-scales": {
+        "w2_matrix": "843ead276071c573e058c085d0b10491c803fbca4e1a539e82602442b0ff24a3",
+        "wsd_all": "e47b654149702dde950169668b7e1ba2a7597db558932be1fe042a1e99cb8a0f",
+        "wsd_discrete": "6a44308d6cb706d969e750f9fd877914dd73fa13af0baf7fc3a4a1c48916ac37",
+        "wsd_empirical": "8b757417bbbdc8da51c584fac4e9302497616249ef5ac9e1da34ae516d7522c1",
+        "wsd_empirical_exclude": "6a44308d6cb706d969e750f9fd877914dd73fa13af0baf7fc3a4a1c48916ac37",
+        "wsd_query_family": "46c9093b858d4223e3c23d80d7a84a15738fdf38e6b39051a122bf62c682a96b",
+        "lens": "aaeffbc8fe0fd980ca360799d6076a3bcb1d09879be213b5a3be4d9dc1b8ff74",
+        "metric_spatial": "944e14b1cbf22b5e34c7e115492f700f930817d00d7b054922b08fe1bbf54882",
+        "kernel_spatial": "c99ab6623aaa2cb99646387bcb74ff09c9a02c27f2471199fb0ea6cbfd45fb5c",
+        "competitor_queries": "83f54d82daf04b947a2fd6a495f06a783cc7a1a5f46777f7949b66f115fc625a",
     },
 }
 
