@@ -231,6 +231,12 @@ class Cloud:
             return _freeze(self.points - self.points.mean(axis=0))
 
     @cached_property
+    def spread(self) -> float:
+        """The mean squared norm of ``centered``: how wide the cloud is."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.square(self.centered).sum()) / self.m
+
+    @cached_property
     def sort_order_1d(self) -> np.ndarray:
         """Stable ascending order of the coordinates (1-D clouds only)."""
         return _freeze(np.argsort(self.points[:, 0], kind="stable"))
@@ -649,6 +655,15 @@ def _reduced(cost: np.ndarray, n: int, skip: np.ndarray) -> np.ndarray:
     return np.subtract(cost.swapaxes(0, 1), cols[:, None, :], order="C")
 
 
+# Smallest equal-size assignment block, in entries, that is solved from the
+# wider cloud's side.  Timing w2_matrix on clouds of m points in d = 3 and 10
+# (2-core Xeon VM, BENCH_wider_side.json), flipping cost 2-7 % at m = 16,
+# mostly cost at m = 20, was even to a few per cent at m = 24 and 28, and saved
+# 2-7 % at m = 32, 4-6 % at m = 40 and 5-25 % at m = 64 and 100: on small
+# blocks, a second group of cost blocks per row costs more than the solver saves.
+_WIDER_SIDE_ENTRIES = 1 << 10
+
+
 def _solve_assignments(
     shares: Sequence[tuple[Cloud, Sequence[Cloud]]]
 ) -> tuple[PlanBatch, list]:
@@ -672,6 +687,17 @@ def _solve_assignments(
     reduced (``_reduced``) unless ``k > 1`` or both clouds have repeated
     coordinate values; its cost is still summed from the points.
 
+    A reduced pair of equal sizes whose target is the wider cloud (larger
+    ``spread``), in a block of at least ``_WIDER_SIDE_ENTRIES`` entries, is
+    solved from the target's side: SciPy's solver, which augments one row
+    at a time from the duals the reduction leaves, runs faster when the
+    rows are the wider cloud's atoms.  Its block is ``cdist`` from the
+    target's atoms to the source's, which equals the transposed block bit
+    for bit since ``(x - y)**2 == (y - x)**2`` exactly; it is reduced by
+    its row minima, then its column minima, and the permutation solved is
+    inverted before duplicate-atom ties are settled.  The choice depends on
+    the pair alone.
+
     Raises:
         NumericalError: the squared distances of some pair overflow
             float64, or a plan misses its marginals beyond ``1e-9``.  Only
@@ -681,22 +707,42 @@ def _solve_assignments(
     m, n, count = shares[0][0].m, targets[0].m, len(targets)
     k, small = max(m, n) // min(m, n), min(m, n)
     hits = np.empty((count, max(m, n)), dtype=np.int64)  # larger atom -> smaller atom
+    flip = k == 1 and m * n >= _WIDER_SIDE_ENTRIES
     t = 0
     for a, row in shares:
         lattice = a.has_repeated_coordinates
-        skip = np.array([k > 1 or (lattice and b.has_repeated_coordinates) for b in row])
-        stacked = np.concatenate([b.centered for b in row])
-        for lo, hi, cost in cost_blocks(a.centered, stacked, [n] * len(row)):
-            cost = _reduced(_finite(cost), n, skip[lo:hi])
-            if k > 1:  # the smaller cloud's atoms as columns, each k times
-                cost = np.repeat(cost if m > n else cost.swapaxes(1, 2), k, axis=2)
-            for block, b in zip(cost, row[lo:hi]):
-                _, cols = linear_sum_assignment(block)
-                if k == 1 and (a.duplicate_groups or b.duplicate_groups):
-                    cols = _canonicalize_duplicate_ties(a, b, cols)
-                hits[t] = cols
-                t += 1
-            del cost, block  # freed before the next block is made
+        skip = [k > 1 or (lattice and b.has_repeated_coordinates) for b in row]
+        wider = [flip and not s and b.spread > a.spread for s, b in zip(skip, row)]
+        near = [i for i, w in enumerate(wider) if not w]
+        far = [i for i, w in enumerate(wider) if w]
+        if near:
+            skip = np.array([skip[i] for i in near])
+            stacked = np.concatenate([row[i].centered for i in near])
+            for lo, hi, cost in cost_blocks(a.centered, stacked, [n] * len(near)):
+                cost = _reduced(_finite(cost), n, skip[lo:hi])
+                if k > 1:  # the smaller cloud's atoms as columns, each k times
+                    cost = np.repeat(cost if m > n else cost.swapaxes(1, 2), k, axis=2)
+                for block, i in zip(cost, near[lo:hi]):
+                    _, hits[t + i] = linear_sum_assignment(block)
+                del cost, block  # freed before the next block is made
+        if far:  # the targets' atoms as rows
+            stacked = np.concatenate([row[i].centered for i in far])
+            step = max(1, _BLOCK_ENTRIES // (m * n))  # targets per block
+            for lo in range(0, len(far), step):
+                cost = _finite(cost_matrix(stacked[lo * n:(lo + step) * n], a.centered))
+                cost -= np.minimum.reduceat(cost, [0], axis=1)  # faster than min(axis=1)
+                cost = cost.reshape(-1, n, m)
+                cost -= cost.min(axis=1)[:, None, :]
+                for block, i in zip(cost, far[lo:lo + step]):
+                    _, hits[t + i] = linear_sum_assignment(block)
+                del cost, block
+            flipped = np.add(far, t)
+            hits[flipped[:, None], hits[flipped]] = np.arange(m)  # source -> target atom
+        if k == 1:
+            for i, b in enumerate(row, t):
+                if a.duplicate_groups or b.duplicate_groups:
+                    hits[i] = _canonicalize_duplicate_ties(a, b, hits[i])
+        t += len(row)
     hits //= k
 
     # Each atom of the larger cloud ships one and the same mass whole, so
@@ -1067,7 +1113,8 @@ def check_dimensions(clouds: Sequence[Cloud]) -> None:
 
 def _schedule(rows: Sequence[tuple[Cloud, Sequence[Cloud]]]) -> list:
     """The work of a sweep over ``rows``, ``(a, targets)`` each, planned
-    before any solve: ``_path`` runs once per pair.
+    before any solve: ``_path`` runs once per kind of target, size and
+    uniform or not, in each row, which is all it reads of a target.
 
     Returns the units in the order they run, each ``(solve, shares)``: a
     solver and ``(r, ks)`` per row ``r`` it covers, in row order, where
@@ -1081,8 +1128,13 @@ def _schedule(rows: Sequence[tuple[Cloud, Sequence[Cloud]]]) -> list:
     groups: dict[tuple, list] = {}
     for r, (a, targets) in enumerate(rows):
         row: dict[tuple, list[int]] = {}
+        kinds: dict[tuple, list[int]] = {}  # (size, uniform) -> its group's ks
         for k, b in enumerate(targets):
-            row.setdefault((_path(a, b), a.m, b.m), []).append(k)
+            kind = (b.m, b.is_uniform)
+            ks = kinds.get(kind)
+            if ks is None:
+                ks = kinds[kind] = row.setdefault((_path(a, b), a.m, kind[0]), [])
+            ks.append(k)
         for key, ks in row.items():
             groups.setdefault(key, []).append((r, ks))
     units = []

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -495,12 +496,12 @@ def test_cmd_experiment_consistency_case2(tmp_path):
          "--n", "10", "--m", "30", "--reps", "2", "--seed", "1", "--out", out]
     )
     assert code == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0].split("\t") == [
         "parameter", "analytic", "mean_empirical", "sd_empirical", "repetitions"
     ]
     assert len(lines) == 3
-    summary = json.load(open(out + ".summary.json"))
+    summary = json.loads(Path(out + ".summary.json").read_text())
     assert summary["analytic_values"] == [0.5, 0.5]
     assert summary["experiment"] == "consistency"
 
@@ -513,7 +514,7 @@ def test_cmd_experiment_outliers_summary(tmp_path):
          "--threshold", "0.2", "--out", out]
     )
     assert code == 0
-    summary = json.load(open(out + ".summary.json"))
+    summary = json.loads(Path(out + ".summary.json").read_text())
     assert 0.0 <= summary["recovery_fraction"] <= 1.0
 
 
@@ -524,10 +525,10 @@ def test_cmd_experiment_location_equivalence_table(tmp_path):
          "--n", "8", "--m", "30", "--reps", "1", "--seed", "2", "--out", out]
     )
     assert code == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "cloud\twsd\tlocation_depth"
     assert len(lines) == 9
-    summary = json.load(open(out + ".summary.json"))
+    summary = json.loads(Path(out + ".summary.json").read_text())
     assert -1.0 <= summary["rank_correlation_min"] <= 1.0
 
 
@@ -538,10 +539,10 @@ def test_cmd_experiment_kernel_comparison_table(tmp_path):
          "--n", "6", "--m", "25", "--reps", "1", "--seed", "2", "--out", out]
     )
     assert code == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0] == "cloud\twsd\tkernel_depth\texotic"
     assert len(lines) == 11  # 6 regular + 4 exotic
-    summary = json.load(open(out + ".summary.json"))
+    summary = json.loads(Path(out + ".summary.json").read_text())
     assert 0.0 <= summary["wsd_bottom_fraction"] <= 1.0
 
 

@@ -984,6 +984,14 @@ def test_repeated_coordinates_are_cached_and_flag_lattice_clouds():
     assert not Cloud(np.array([[0.0, 0.0], [1.0, 1.0]])).has_repeated_coordinates
 
 
+def test_spread_is_the_cached_mean_squared_norm_of_the_centred_points():
+    c = Cloud(np.array([[1.0, 2.0], [3.0, 2.0], [2.0, 5.0]]))
+    assert "spread" not in vars(c)
+    assert c.spread == pytest.approx(8 / 3)  # centred: (-1, -1), (1, -1), (0, 2)
+    assert vars(c)["spread"] == c.spread
+    assert Cloud(2.0 * c.points + 7.0).spread == pytest.approx(4 * c.spread)
+
+
 def _unreduced_permutation(a, b):
     """Reference: SciPy's assignment on the unreduced centred block, with
     duplicate-atom ties settled as the solver settles them."""
@@ -1076,6 +1084,53 @@ def test_poisson_pairs_solve_the_unreduced_block():
     assert a.has_repeated_coordinates and b.has_repeated_coordinates
     plan, _ = _assign(a, b)
     assert plan.permutation.tolist() == _unreduced_permutation(a, b).tolist()
+
+
+def _reduced_block(cost):
+    """``cost`` less its row minima, then less its column minima."""
+    cost = cost - cost.min(axis=1)[:, None]
+    return cost - cost.min(axis=0)
+
+
+@pytest.mark.parametrize("ratio", [1.0, 1.5, 4.0, 20.0, 100.0])
+@pytest.mark.parametrize("partner", ["generic", "lattice"])
+@pytest.mark.parametrize("wider", ["source", "target"])
+def test_wider_target_solve_keeps_the_unreduced_permutation(ratio, partner, wider,
+                                                            monkeypatch):
+    # 40 x 40 blocks are past _WIDER_SIDE_ENTRIES; the generic cloud is
+    # scaled so that the spreads differ by ``ratio``
+    m, d = 40, 3
+    assert m * m >= wsdepth.ot_core._WIDER_SIDE_ENTRIES
+    blocks, flips = [], []
+
+    def recorded(block):
+        blocks.append(np.array(block))
+        return linear_sum_assignment(block)
+
+    monkeypatch.setattr(wsdepth.ot_core, "linear_sum_assignment", recorded)
+    rng = np.random.default_rng([m, int(ratio * 10), partner == "lattice"])
+    for _ in range(4):
+        if partner == "lattice":  # integer atoms, one of them duplicated
+            points = rng.integers(0, 4, size=(m, d)).astype(float)
+            points[0] = points[-1]
+        else:
+            points = rng.normal(size=(m, d))
+        narrow = Cloud(points)
+        generic = rng.normal(size=(m, d)) + rng.normal(size=d)
+        wide = Cloud(generic * math.sqrt(ratio * narrow.spread / Cloud(generic).spread))
+        a, b = (wide, narrow) if wider == "source" else (narrow, wide)
+        blocks.clear()
+        plan, _ = _assign(a, b)
+        assert plan.permutation.tolist() == _unreduced_permutation(a, b).tolist()
+        [block] = blocks
+        flips.append(b.spread > a.spread)
+        if flips[-1]:  # the target's atoms are the rows
+            want = _reduced_block(cost_matrix(b.centered, a.centered))
+        else:
+            want = _reduced_block(cost_matrix(a.centered, b.centered))
+        assert block.tobytes() == want.tobytes()
+    if ratio > 1.0:  # at 1.0 the spreads differ by rounding, either way
+        assert flips == [wider == "target"] * 4
 
 
 def _duplicate_groups_per_pair(points):
